@@ -44,9 +44,11 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hh"
 #include "exec/executor.hh"
 #include "fleet/fleet.hh"
 #include "fleet/loadgen.hh"
+#include "fleet/placement.hh"
 #include "hw/machine.hh"
 #include "obs/attribution.hh"
 #include "obs/metrics.hh"
@@ -67,8 +69,6 @@ enum class Workload { TivoOffloaded, TivoCopy, FleetOpenLoop };
 // least ten samples beyond it, and 16 five-second CPU/L2 windows.
 constexpr sim::SimTime kTivoWarmup = sim::seconds(2);
 constexpr sim::SimTime kTivoDuration = sim::seconds(80);
-// Each TiVo host runs the housekeeping tick every 1 ms.
-constexpr double kTivoTicksPerSimSecond = 2 * 1000.0;
 
 constexpr std::size_t kFleetHosts = 4;
 constexpr double kFleetRate = 1e6;
@@ -76,6 +76,8 @@ constexpr std::size_t kFleetMessageBytes = 256;
 constexpr sim::SimTime kFleetDuration = sim::milliseconds(200);
 
 constexpr std::size_t kSpanCapacity = std::size_t{1} << 20;
+// Span label of the periodic housekeeping tick (hw::OsKernel).
+constexpr const char *kTickLabel = "OsKernel::startBackgroundLoad";
 constexpr int kTraceReps = 3;
 
 double
@@ -92,15 +94,6 @@ median(std::vector<double> values)
     std::sort(values.begin(), values.end());
     const std::size_t n = values.size();
     return n % 2 ? values[n / 2] : (values[n / 2 - 1] + values[n / 2]) / 2;
-}
-
-std::uint64_t
-splitmix(std::uint64_t &state)
-{
-    std::uint64_t z = (state += 0x9E3779B97F4A7C15ull);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    return z ^ (z >> 31);
 }
 
 std::string
@@ -132,12 +125,12 @@ put(Metrics &metrics, std::string name, double value, std::string unit)
     metrics.push_back({std::move(name), value, std::move(unit)});
 }
 
-/** FNV-1a over "key=value;" of every simulated statistic of a run. */
+/** Hash of "key=value;" over every simulated statistic of a run. */
 class Digest
 {
   public:
-    void add(const std::string &key, std::uint64_t v) { mix(key + "=" + number(v)); }
-    void add(const std::string &key, double v) { mix(key + "=" + number(v)); }
+    void add(const std::string &key, std::uint64_t v) { text_ += key + "=" + number(v) + ";"; }
+    void add(const std::string &key, double v) { text_ += key + "=" + number(v) + ";"; }
 
     void
     add(const std::string &key, const SampleSet &samples)
@@ -156,19 +149,12 @@ class Digest
     {
         char buf[17];
         std::snprintf(buf, sizeof buf, "%016llx",
-                      static_cast<unsigned long long>(hash_));
+                      static_cast<unsigned long long>(fleet::placementHash(text_)));
         return buf;
     }
 
   private:
-    void
-    mix(const std::string &text)
-    {
-        for (unsigned char c : text + ";")
-            hash_ = (hash_ ^ c) * 0x100000001B3ull;
-    }
-
-    std::uint64_t hash_ = 0xCBF29CE484222325ull;
+    std::string text_;
 };
 
 /** One repetition of a workload. */
@@ -182,6 +168,8 @@ struct Rep
     std::uint64_t failed = 0;
     std::vector<std::string> violations;
     std::string digest;
+    /** OS model of the workload's hosts (the hosts-only rig copies it). */
+    hw::OsConfig os;
     /** Virtual-clock metrics (exact under SimExecutor). */
     Metrics virtualMetrics;
 };
@@ -345,8 +333,7 @@ tivoConfig(Workload workload, std::uint64_t seed)
     }
     config.warmup = kTivoWarmup;
     config.duration = kTivoDuration;
-    std::uint64_t state = seed;
-    config.seed = splitmix(state) >> 16;
+    config.seed = Rng(seed).next() >> 16;
     return config;
 }
 
@@ -364,6 +351,7 @@ runTivo(const tivo::TestbedConfig &config, Metrics *layers = nullptr,
     rep.wallMs = secondsSince(runStart) * 1e3;
     rep.simS = static_cast<double>(config.warmup + config.duration) / 1e9;
     rep.events = testbed->executor().eventsDispatched();
+    rep.os = testbed->serverMachine().os().config();
     if (layers)
         registryLayers({&testbed->serverMachine(), &testbed->clientMachine()},
                        testbed->executor(), rep.simS, *layers, *detail);
@@ -431,12 +419,12 @@ struct FleetInputs
 FleetInputs
 fleetInputs(std::uint64_t seed)
 {
-    std::uint64_t state = seed;
+    Rng rng(seed);
     FleetInputs in;
     in.fleet.hosts = kFleetHosts;
-    in.fleet.seed = splitmix(state) >> 16;
-    in.fleet.network.seed = splitmix(state) >> 16;
-    in.load.streams = 3900 + splitmix(state) % 201;
+    in.fleet.seed = rng.next() >> 16;
+    in.fleet.network.seed = rng.next() >> 16;
+    in.load.streams = static_cast<std::size_t>(rng.uniformInt(3900, 4100));
     in.load.messageBytes = kFleetMessageBytes;
     in.load.offeredMsgsPerSec = kFleetRate;
     in.load.duration = kFleetDuration;
@@ -481,6 +469,7 @@ runFleet(const FleetInputs &in, std::unique_ptr<exec::Executor> executor,
     rep.wallMs = r.wallMs;
     rep.simS = static_cast<double>(in.load.duration + in.load.drain) / 1e9;
     rep.events = executor->eventsDispatched();
+    rep.os = fleet.host(0).machine().os().config();
 
     std::vector<hw::Machine *> machines;
     for (std::size_t h = 0; h < fleet.hostCount(); ++h)
@@ -592,18 +581,20 @@ struct RigRun
 };
 
 /**
- * Two bare hw::Machines with the idle-OS background load, for the
+ * Two bare hw::Machines with the workload's OS model and the idle-OS
+ * background load, as the TiVo testbed's two hosts run it, for the
  * TiVo workloads' simulated length: the housekeeping tick in isolation.
  */
 RigRun
-runHostsRig(exec::Executor &executor, std::uint64_t seed)
+runHostsRig(exec::Executor &executor, std::uint64_t seed, const hw::OsConfig &os)
 {
-    std::uint64_t state = seed;
+    Rng rng(seed);
     std::vector<std::unique_ptr<hw::Machine>> machines;
     for (const char *name : {"rig-server", "rig-client"}) {
         hw::MachineConfig config;
         config.name = name;
-        config.noiseSeed = splitmix(state) >> 16;
+        config.os = os;
+        config.noiseSeed = rng.next() >> 16;
         machines.push_back(std::make_unique<hw::Machine>(executor, config));
         machines.back()->os().startBackgroundLoad();
     }
@@ -619,17 +610,33 @@ runHostsRig(exec::Executor &executor, std::uint64_t seed)
     return run;
 }
 
-/** Kernel vs callback split of the runUntil windows a span log saw. */
+/**
+ * Kernel vs callback split of the runUntil windows a span log saw.
+ * Callback time is the traced callback spans minus the decorator's
+ * wrapping of what they scheduled; kernel time is the untraced wall of
+ * the same windows minus that callback time. So none of the decorator's
+ * work (clock reads, record(), wrapping, the extra std::function hop
+ * between callbacks) is counted as kernel time.
+ */
 void
-kernelSplit(const SpanLog::Window &window, Metrics &layers)
+kernelSplit(const SpanLog::Window &window, double untracedWallNs,
+            Metrics &layers, std::ostream &detail)
 {
     const double events = static_cast<double>(std::max<std::uint64_t>(window.events, 1));
-    const double kernelNs =
-        window.wallNs > window.callbackNs
-            ? static_cast<double>(window.wallNs - window.callbackNs)
-            : 0.0;
+    const double callbackNs = static_cast<double>(window.callbackNs) -
+                              static_cast<double>(window.wrapNs);
+    const double kernelNs = std::max(0.0, untracedWallNs - callbackNs);
     put(layers, "exec.kernel_ns_per_event", kernelNs / events, "ns");
-    put(layers, "exec.callback_ns_per_event", window.callbackNs / events, "ns");
+    put(layers, "exec.callback_ns_per_event", callbackNs / events, "ns");
+    // Two estimates: the decorator also slows the callbacks themselves
+    // (clock reads, allocation, cache), which biases the untraced one
+    // low; its work between callbacks biases the traced one high.
+    detail << "  exec.kernel_ns_per_event estimates: untraced wall minus "
+              "callbacks "
+           << number(kernelNs / events) << ", traced wall minus callbacks "
+           << number(std::max(0.0, static_cast<double>(window.wallNs) - callbackNs) /
+                     events)
+           << "\n";
 }
 
 void
@@ -784,31 +791,29 @@ traceLayers(const Options &options, const Rep &first, double wallMsPerSimS,
     put(layers, "tivo.datapath_ms_per_sim_s",
         wallMsPerSimS - idleMsPerSimS, "ms/s");
 
-    // Hosts-only rig, untraced then traced: the housekeeping tick.
+    // Hosts-only rig, untraced then traced: the cost of one tick.
     auto plain = exec::makeExecutor(exec::ExecutorKind::Sim);
-    const RigRun rigPlain = runHostsRig(*plain, options.seed);
+    const RigRun rigPlain = runHostsRig(*plain, options.seed, first.os);
     SpanLog rigLog(kSpanCapacity);
     SpanExecutor rigExec(exec::makeExecutor(exec::ExecutorKind::Sim), rigLog);
-    const RigRun rigTraced = runHostsRig(rigExec, options.seed);
+    const RigRun rigTraced = runHostsRig(rigExec, options.seed, first.os);
     if (rigTraced.events != rigPlain.events ||
         rigTraced.l2Accesses != rigPlain.l2Accesses ||
         rigTraced.l2Misses != rigPlain.l2Misses)
         violations.push_back("tracing changed the hosts rig's events or L2");
-    const SpanLog::LabelTotals ticks =
-        rigLog.totalsMatching("OsKernel::startBackgroundLoad");
+    const SpanLog::LabelTotals rigTicks = rigLog.totalsMatching(kTickLabel);
     const double tickNs =
-        ticks.count ? static_cast<double>(ticks.ns) / ticks.count : 0.0;
-    const double ticksPerSimS = tivo ? kTivoTicksPerSimSecond : 0.0;
-    const double tickMsPerSimS = tickNs * ticksPerSimS / 1e6;
-    put(layers, "hw.os.tick_ns", tickNs, "ns");
-    put(layers, "hw.os.tick_ms_per_sim_s", tickMsPerSimS, "ms/s");
-    put(layers, "hw.os.tick_share", tickMsPerSimS / wallMsPerSimS, "ratio");
+        rigTicks.count ? static_cast<double>(rigTicks.ns) / rigTicks.count : 0.0;
     printSpanTotals(rigLog, "hosts_rig", detail);
     rigLog.write(spans, "hosts_rig");
     spansDropped += rigLog.dropped();
 
+    // Ticks per simulated second are counted in what ran: the rig runs
+    // the TiVo testbed's two hosts with their OS model, and the fleet
+    // runs under the decorator itself.
     double tracedMs = rigTraced.wallMs, plainMs = rigPlain.wallMs;
     double simS = static_cast<double>(kTivoWarmup + kTivoDuration) / 1e9;
+    double ticksPerSimS = static_cast<double>(rigTicks.count) / simS;
     SpanLog::Window window = rigLog.window();
     std::uint64_t pacerCount = 0, pacerNs = 0;
     if (!tivo) {
@@ -826,6 +831,9 @@ traceLayers(const Options &options, const Rep &first, double wallMsPerSimS,
         tracedMs = traced.wallMs;
         plainMs = wallMsPerSimS * first.simS;
         simS = first.simS;
+        ticksPerSimS = static_cast<double>(
+                           fleetLog.totalsMatching(kTickLabel).count) /
+                       simS;
         const SpanLog::LabelTotals pacer = fleetLog.totalsMatching("runOpenLoop");
         pacerCount = pacer.count;
         pacerNs = pacer.ns;
@@ -833,7 +841,12 @@ traceLayers(const Options &options, const Rep &first, double wallMsPerSimS,
         fleetLog.write(spans, "fleet");
         spansDropped += fleetLog.dropped();
     }
-    kernelSplit(window, layers);
+    const double tickMsPerSimS = tickNs * ticksPerSimS / 1e6;
+    put(layers, "hw.os.tick_ns", tickNs, "ns");
+    put(layers, "hw.os.tick_ms_per_sim_s", tickMsPerSimS, "ms/s");
+    put(layers, "hw.os.tick_share", tickMsPerSimS / wallMsPerSimS, "ratio");
+    detail << "  hw.os.ticks_per_sim_s: " << number(ticksPerSimS) << "\n";
+    kernelSplit(window, plainMs * 1e6, layers, detail);
     put(layers, "fleet.pacer_ns",
         pacerCount ? static_cast<double>(pacerNs) / pacerCount : 0.0, "ns");
     put(layers, "trace.overhead_ms_per_sim_s", (tracedMs - plainMs) / simS,
@@ -905,6 +918,11 @@ main(int argc, char **argv)
               << " seed=" << options.seed << " reps=" << reps.size()
               << " trace=" << options.trace << " engine=sim\n";
     printMetrics("host clock (median over repetitions):", hostMetrics);
+    std::sort(wallPerSimS.begin(), wallPerSimS.end());
+    std::cout << "  wall_ms_per_sim_s per repetition: min "
+              << number(wallPerSimS.front()) << " median "
+              << number(wallMsPerSimS) << " max " << number(wallPerSimS.back())
+              << "\n";
     printMetrics(tivo ? "virtual clock (exact; statistics start after the 2 s "
                         "warmup, warm L2):"
                       : "virtual clock (exact; starts cold; the pacer runs on "

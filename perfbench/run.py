@@ -3,7 +3,7 @@
 
     python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1
     python3 perfbench/run.py --self-test
-    python3 perfbench/run.py --write-references [SEED ...]
+    python3 perfbench/run.py --write-references
 
 Run from the repository root. Builds perfbench/ (which compiles ../src)
 into $CARGO_TARGET_DIR or .bench_build, runs the workload, checks the
@@ -184,11 +184,12 @@ def self_test():
     return 1 if problems else 0
 
 
-def write_references(seeds):
+def write_references():
+    """Regenerates the reference digests of the shipped seeds 0-31."""
     exe = build()
     references = load_references() if os.path.exists(REFERENCES) else {}
     for workload in WORKLOADS:
-        for seed in seeds:
+        for seed in range(32):
             _, raw = run_binary(exe, workload, seed, 0, 0)
             if raw["violations"]:
                 fail("%s seed %d: %s" % (workload, seed, raw["violations"]))
@@ -206,12 +207,12 @@ def main():
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--self-test", action="store_true")
-    parser.add_argument("--write-references", type=int, nargs="*")
+    parser.add_argument("--write-references", action="store_true")
     args = parser.parse_args()
     if args.self_test:
         sys.exit(self_test())
-    if args.write_references is not None:
-        write_references(args.write_references or list(range(32)))
+    if args.write_references:
+        write_references()
         return
     if args.workload is None:
         parser.error("--workload is required")

@@ -37,7 +37,7 @@ SpanLog::SpanLog(std::size_t capacity)
 std::uint32_t
 SpanLog::labelOf(const std::type_info &type)
 {
-    auto [it, inserted] = labelIds_.try_emplace(std::type_index(type), 0);
+    auto [it, inserted] = labelIds_.try_emplace(&type, 0);
     if (!inserted)
         return it->second;
     // Lambdas of one function share its label.

@@ -24,7 +24,7 @@
 #include <ostream>
 #include <string>
 #include <type_traits>
-#include <typeindex>
+#include <typeinfo>
 #include <unordered_map>
 #include <vector>
 
@@ -51,11 +51,13 @@ class SpanLog
     };
 
     /** Summed runUntil() calls: their wall ns, the callback ns inside
-     * them, and the events they dispatched. */
+     * them, the decorator's ns wrapping what those callbacks scheduled
+     * (part of the callback ns), and the events they dispatched. */
     struct Window
     {
         std::uint64_t wallNs = 0;
         std::uint64_t callbackNs = 0;
+        std::uint64_t wrapNs = 0;
         std::uint64_t events = 0;
     };
 
@@ -88,11 +90,15 @@ class SpanLog
                                label};
     }
 
+    void addWrapNs(std::uint64_t ns) { wrapNs_ += ns; }
+    std::uint64_t wrapNs() const { return wrapNs_; }
+
     void
     addWindow(const Window &window)
     {
         window_.wallNs += window.wallNs;
         window_.callbackNs += window.callbackNs;
+        window_.wrapNs += window.wrapNs;
         window_.events += window.events;
     }
 
@@ -114,9 +120,11 @@ class SpanLog
     std::vector<Span> spans_;
     std::size_t size_ = 0;
     std::uint64_t dropped_ = 0;
+    std::uint64_t wrapNs_ = 0;
     Window window_;
     std::vector<LabelTotals> labels_;
-    std::unordered_map<std::type_index, std::uint32_t> labelIds_;
+    // Keyed by address: hashing a type_index hashes the type's name.
+    std::unordered_map<const std::type_info *, std::uint32_t> labelIds_;
 };
 
 /** Executor decorator that records one span per dispatched callback. */
@@ -178,9 +186,11 @@ class SpanExecutor final : public hydra::exec::Executor
     {
         const std::uint64_t start = log_.clockNs();
         const std::uint64_t callbackNs = log_.callbackNs();
+        const std::uint64_t wrapNs = log_.wrapNs();
         const std::uint64_t events = inner_->eventsDispatched();
         inner_->runUntil(until);
         log_.addWindow({log_.clockNs() - start, log_.callbackNs() - callbackNs,
+                        log_.wrapNs() - wrapNs,
                         inner_->eventsDispatched() - events});
     }
     void runToCompletion() override { inner_->runToCompletion(); }
@@ -198,12 +208,14 @@ class SpanExecutor final : public hydra::exec::Executor
     }
 
   private:
+    /** Times itself, so the callback share can leave the wrapping out. */
     template <typename R>
     std::function<R()>
     wrap(std::function<R()> fn)
     {
+        const std::uint64_t start = log_.clockNs();
         const std::uint32_t label = log_.labelOf(fn.target_type());
-        return [&log = log_, label, fn = std::move(fn)]() -> R {
+        std::function<R()> wrapped = [&log = log_, label, fn = std::move(fn)]() -> R {
             const std::uint64_t start = log.clockNs();
             if constexpr (std::is_void_v<R>) {
                 fn();
@@ -214,6 +226,8 @@ class SpanExecutor final : public hydra::exec::Executor
                 return result;
             }
         };
+        log_.addWrapNs(log_.clockNs() - start);
+        return wrapped;
     }
 
     std::unique_ptr<hydra::exec::Executor> inner_;
