@@ -173,7 +173,7 @@ churnRun(std::size_t population, std::size_t ops)
                 if (it != legacy.end())
                     legacy.erase(it);
             }
-            home.executive().destroyChannelById(victim);
+            home.executive().destroyChannel(victim);
             ids[slot] = create();
             if (legacyScan)
                 legacy.push_back(ids[slot]);

@@ -26,7 +26,6 @@
 #include "net/network.hh"
 #include "obs/histogram.hh"
 #include "obs/metrics.hh"
-#include "obs/profiler.hh"
 #include "odf/odf.hh"
 #include "exec/sim_executor.hh"
 #include "exec/threaded_executor.hh"
@@ -451,23 +450,9 @@ struct BenchPipeline
             sites.push_back(engine.addSite("stage-" + std::to_string(i)));
     }
 
-    /** Publish each stage through the profiler's ActivityScope, as
-     * the channel dispatch path does (BM_ProfilerOverhead). */
-    void
-    publishActivity()
-    {
-        obs::Profiler &profiler = obs::Profiler::instance();
-        label = profiler.intern("bench.pipeline", "data");
-        for (std::size_t i = 0; i < sites.size(); ++i)
-            slots.push_back(
-                profiler.slotFor("stage-" + std::to_string(i)));
-    }
-
     void
     stage(std::size_t index, Payload message)
     {
-        obs::ActivityScope activity(
-            slots.empty() ? nullptr : slots[index], label);
         // Constant-time stage work: touch the buffer ends so the
         // handoff is real (the bytes must be resident and shared),
         // without per-byte work masking the dispatch cost under test.
@@ -495,8 +480,6 @@ struct BenchPipeline
     exec::Executor &engine;
     std::vector<exec::SiteId> sites;
     std::atomic<std::uint64_t> processed{0};
-    std::vector<obs::SiteActivitySlot *> slots;
-    const obs::ActivityLabel *label = nullptr;
 };
 
 void
@@ -637,52 +620,6 @@ BENCHMARK(BM_BatchedPipeline)
     ->Args({2, 1, 64})
     ->Args({4, 1, 1})
     ->Args({4, 1, 64})
-    ->UseRealTime();
-
-/**
- * Profiler overhead on the dispatch path: the same 2-stage pipeline
- * publishing ActivityScopes per hop, with the profiler off (the
- * scope is one relaxed load) vs on (pointer stores per hop plus one
- * sample per 1024-message batch). Gated by scripts/bench_gate.py:
- * the profile:1/profile:0 ratio must stay within the budget.
- */
-void
-BM_ProfilerOverhead(benchmark::State &state)
-{
-    const bool profile = state.range(0) != 0;
-    obs::Profiler &profiler = obs::Profiler::instance();
-    profiler.clear();
-    if (profile)
-        profiler.enable(1000);
-    else
-        profiler.disable();
-
-    exec::SimExecutor engine;
-    BenchPipeline pipeline(engine, 2);
-    pipeline.publishActivity();
-
-    const Payload message{Bytes(64, 0x5a)};
-    constexpr int kMessages = 1024;
-    std::uint64_t tick = 0;
-    for (auto _ : state) {
-        for (int i = 0; i < kMessages; ++i)
-            pipeline.feed(message);
-        engine.drain();
-        if (profile)
-            profiler.sample(++tick);
-    }
-    if (pipeline.processed.load() !=
-        state.iterations() * static_cast<std::uint64_t>(kMessages))
-        state.SkipWithError("pipeline lost messages");
-    state.SetItemsProcessed(state.iterations() * kMessages);
-
-    profiler.disable();
-    profiler.clear();
-}
-BENCHMARK(BM_ProfilerOverhead)
-    ->ArgNames({"profile"})
-    ->Arg(0)
-    ->Arg(1)
     ->UseRealTime();
 
 /**

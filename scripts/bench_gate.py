@@ -3,7 +3,7 @@
 
 Usage: bench_gate.py BASELINE.json CURRENT.json
 
-Three gates on top of bench_compare.py's generic 2x noise gate:
+Five gates on top of bench_compare.py's generic 2x noise gate:
 
  1. Histogram hot path: every BM_HistogramRecord row must run in at
     most HYDRA_HIST_RECORD_NS_MAX ns per record (default 15). This is
@@ -23,14 +23,7 @@ Three gates on top of bench_compare.py's generic 2x noise gate:
     HYDRA_CHANNEL_PAIR_MAX (default 1.25) to catch a pathological
     regression confined to one configuration.
 
- 3. Sampling profiler: BM_ProfilerOverhead profile:1 (scopes
-    published, profiler enabled, one sample per batch) paired with
-    its profile:0 twin (same scopes, profiler disabled) from the SAME
-    run. Geomean of the pair ratios must stay at most
-    HYDRA_PROFILER_RATIO_MAX (default 1.05); each pair is bounded by
-    HYDRA_PROFILER_PAIR_MAX (default 1.25).
-
- 4. Batched pipeline: each BM_BatchedPipeline sites:4 batch:64 row is
+ 3. Batched pipeline: each BM_BatchedPipeline sites:4 batch:64 row is
     paired with its batch:1 twin from the SAME run. Batching is a
     throughput feature, so batched must never be the slower side:
     geomean and per-pair time ratios must stay at most
@@ -39,17 +32,17 @@ Three gates on top of bench_compare.py's generic 2x noise gate:
     noise floor as headroom). Rows at other site counts (e.g. the
     2-site scaling row) are informational and not gated.
 
- 5. Low-load latency: BM_ChannelLowLoad exports the deterministic
+ 4. Low-load latency: BM_ChannelLowLoad exports the deterministic
     virtual-time delivery p99 as the `p99_ns` benchmark counter; the
     batched:1 / batched:0 counter ratio must stay at most
     HYDRA_LOWLOAD_P99_MAX (default 1.05). This is the adaptivity
     invariant: batching must not buy throughput with added latency
     when the pipe is idle.
 
- 6. Fleet scaling: BM_FleetOpenLoop exports virtual-time goodput of a
+ 5. Fleet scaling: BM_FleetOpenLoop exports virtual-time goodput of a
     saturating open loop as the `vmsgs_per_sec` counter; the hosts:4
     / hosts:1 ratio must stay at least HYDRA_FLEET_SCALE_MIN (default
-    2.0). Like gate 5 this is a virtual-clock property — adding hosts
+    2.0). Like gate 4 this is a virtual-clock property — adding hosts
     must keep buying capacity, or the fleet refactor's premise (shard
     the executive, spread the load) has regressed.
 
@@ -163,16 +156,12 @@ def main():
         float(os.environ.get("HYDRA_CHANNEL_PAIR_MAX", "1.25")),
         ratio_max)
     gate_pairs(
-        "BM_ProfilerOverhead", "profile:1", "profile:0",
-        float(os.environ.get("HYDRA_PROFILER_PAIR_MAX", "1.25")),
-        float(os.environ.get("HYDRA_PROFILER_RATIO_MAX", "1.05")))
-    gate_pairs(
         "BM_BatchedPipeline", "batch:64", "batch:1",
         float(os.environ.get("HYDRA_BATCH_PAIR_MAX", "1.0")),
         float(os.environ.get("HYDRA_BATCH_RATIO_MAX", "1.0")),
         require="sites:4")
 
-    # Gate 5: batching must not add delivery latency at low load.
+    # Gate 4: batching must not add delivery latency at low load.
     # The p99 comes from the sim engine's virtual clock, so the ratio
     # is deterministic (no noise floor to budget for).
     p99_max = float(os.environ.get("HYDRA_LOWLOAD_P99_MAX", "1.05"))
@@ -195,7 +184,7 @@ def main():
               "from current run")
         failed.append("BM_ChannelLowLoad(absent)")
 
-    # Gate 6: more hosts must keep meaning more capacity. The goodput
+    # Gate 5: more hosts must keep meaning more capacity. The goodput
     # counters come from the sim engine's virtual clock, so the ratio
     # is deterministic.
     scale_min = float(os.environ.get("HYDRA_FLEET_SCALE_MIN", "2.0"))

@@ -82,15 +82,13 @@ if [ "$BENCH_SMOKE" -eq 1 ]; then
     echo "bench JSON written to $OUT"
     python3 scripts/bench_compare.py scripts/bench_baseline.json "$OUT" 2.0
     # Telemetry-engine budget: histogram record cost stays under
-    # ~15 ns, the instrumented channel rows (hist:1) stay within 5%
-    # of their uninstrumented hist:0 twins from the same run, and the
-    # sampling profiler (profile:1) stays within 5% of its disabled
-    # twin. A 5% bound needs quieter numbers than one 0.1 s pass on a
-    # shared VM gives, so the gated benches run again with repetitions
-    # and the gate reads the medians. Limits are env-overridable
-    # (HYDRA_HIST_RECORD_NS_MAX, HYDRA_CHANNEL_RATIO_MAX,
-    # HYDRA_PROFILER_RATIO_MAX). The batching gates pair
-    # BM_BatchedPipeline batch:64 rows against their batch:1 twins
+    # ~15 ns, and the instrumented channel rows (hist:1) stay within
+    # 5% of their uninstrumented hist:0 twins from the same run. A 5%
+    # bound needs quieter numbers than one 0.1 s pass on a shared VM
+    # gives, so the gated benches run again with repetitions and the
+    # gate reads the medians. Limits are env-overridable
+    # (HYDRA_HIST_RECORD_NS_MAX, HYDRA_CHANNEL_RATIO_MAX). The batching
+    # gates pair BM_BatchedPipeline batch:64 rows against their batch:1 twins
     # (batched must not be slower at sites=4) and hold the
     # BM_ChannelLowLoad virtual-time delivery p99 within 5% of the
     # unbatched twin (HYDRA_BATCH_RATIO_MAX, HYDRA_LOWLOAD_P99_MAX).
@@ -98,7 +96,7 @@ if [ "$BENCH_SMOKE" -eq 1 ]; then
     # virtual-time goodput ratio at >= 2x (HYDRA_FLEET_SCALE_MIN).
     GATE_OUT="$BUILD_DIR/bench_gate.json"
     "$BUILD_DIR/bench/perf_micro" \
-        --benchmark_filter='BM_ChannelThroughput|BM_HistogramRecord|BM_ProfilerOverhead|BM_BatchedPipeline|BM_ChannelLowLoad|BM_FleetOpenLoop' \
+        --benchmark_filter='BM_ChannelThroughput|BM_HistogramRecord|BM_BatchedPipeline|BM_ChannelLowLoad|BM_FleetOpenLoop' \
         --benchmark_min_time=0.1 \
         --benchmark_repetitions=5 \
         --benchmark_enable_random_interleaving=true \

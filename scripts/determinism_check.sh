@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Determinism regression check for the sim executor: two runs of the
 # TiVo integration scenario with the same seed must produce
-# byte-identical metrics JSON, span listings, and profiler output.
+# byte-identical metrics JSON, span listings, flight recordings, and
+# the exact CPU profile (--profile-out, folded busy/idle ns per site).
 # Registered in ctest as `determinism_sim_executor`; each run is a
-# fresh process, so the metrics registry, span id counter, and
-# profiler sample store start from zero both times.
+# fresh process, so the metrics registry, span id counter, and CPU
+# attribution cells start from zero both times.
 #
 # With a third argument (the hydra_fleet binary), a 4-host fleet
 # scale run on the sim executor is checked the same way: two fresh
@@ -32,7 +33,7 @@ run() {
             --metrics-out metrics.json \
             --spans-out spans.json \
             --flight-out flight.json --flight-interval-ms 500 \
-            --profile-out profile.folded --profile-interval-ms 250 \
+            --profile-out profile.folded \
             > stdout.txt)
 }
 

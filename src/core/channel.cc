@@ -4,7 +4,6 @@
 #include "core/call.hh"
 #include "core/offcode.hh"
 #include "obs/metrics.hh"
-#include "obs/profiler.hh"
 #include "obs/trace.hh"
 
 namespace hydra::core {
@@ -320,13 +319,8 @@ Channel::dispatchToOffcode(std::size_t endpoint, const Payload &message,
         }
     }
     bool ok = true;
-
-    // Publish this dispatch to the sampling profiler (a no-op unless
-    // profiling is on); the same `finished` timestamp that feeds
-    // noteDispatch closes the scope, so profiling adds no clock reads.
-    obs::ActivityScope activity(ep.site ? ep.site->profilerSlot()
-                                        : nullptr,
-                                offcode->activityLabel(kind.value()));
+    const ExecutionSite::ChargeMark mark =
+        ep.site ? ep.site->beginCharge() : ExecutionSite::ChargeMark{};
 
     switch (kind.value()) {
       case MessageKind::Call: {
@@ -402,8 +396,8 @@ Channel::dispatchToOffcode(std::size_t endpoint, const Payload &message,
     if (kind.value() != MessageKind::Return) {
         const sim::SimTime finished =
             ep.site ? ep.site->run(0) : started;
-        activity.finish(finished);
-        offcode->noteDispatch(kind.value(), ok, started, finished);
+        offcode->noteDispatch(kind.value(), ok, started, finished,
+                              ep.site ? ep.site->endCharge(mark) : 0);
     }
     (void)from;
 }

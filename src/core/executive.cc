@@ -103,15 +103,7 @@ ChannelExecutive::createChannel(const ChannelConfig &config,
 }
 
 Status
-ChannelExecutive::destroyChannel(Channel *channel)
-{
-    if (!channel)
-        return Status(ErrorCode::InvalidArgument, "null channel");
-    return destroyChannelById(channel->id());
-}
-
-Status
-ChannelExecutive::destroyChannelById(ChannelId id)
+ChannelExecutive::destroyChannel(ChannelId id)
 {
     std::unique_ptr<Channel> owned;
     {

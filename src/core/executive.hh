@@ -65,12 +65,13 @@ class ChannelExecutive
                                     ExecutionSite &creator,
                                     std::size_t typical_bytes = 1024);
 
-    /** Destroy a channel created by this shard. O(1): the registry
-     * is keyed by the channel's id, not scanned by pointer. */
-    Status destroyChannel(Channel *channel);
-
-    /** Destroy by id (what a routing table stores). */
-    Status destroyChannelById(ChannelId id);
+    /**
+     * Destroy a channel created by this shard. O(1): the registry is
+     * keyed by the channel's id. Callers hold the id, never a pointer
+     * the shard would have to dereference, so destroying a channel
+     * twice fails cleanly instead of reading freed memory.
+     */
+    Status destroyChannel(ChannelId id);
 
     /** Look up an owned channel by id; nullptr when not this shard's. */
     Channel *findChannel(ChannelId id) const;

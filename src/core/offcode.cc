@@ -5,7 +5,6 @@
 #include "common/logging.hh"
 #include "obs/attribution.hh"
 #include "obs/metrics.hh"
-#include "obs/profiler.hh"
 
 namespace hydra::core {
 
@@ -43,12 +42,15 @@ Offcode::doInitialize(OffcodeContext context)
     serviceTime_ =
         &obs::histogram("offcode.service_ns", {{"offcode", bindname_}});
     cpuNs_ = &obs::counter("offcode.cpu_ns", {{"offcode", bindname_}});
-    obs::CpuAttribution::instance().registerOffcode(
+    obs::CpuAttribution &attribution = obs::CpuAttribution::instance();
+    attribution.registerOffcode(
         bindname_, ctx_.site ? ctx_.site->machine().executor().now() : 0);
-    obs::Profiler &profiler = obs::Profiler::instance();
-    callLabel_ = profiler.intern(bindname_, "call");
-    dataLabel_ = profiler.intern(bindname_, "data");
-    mgmtLabel_ = profiler.intern(bindname_, "mgmt");
+    if (ctx_.site) {
+        const std::string &site = ctx_.site->name();
+        callCell_ = &attribution.cell(site, bindname_, "call");
+        dataCell_ = &attribution.cell(site, bindname_, "data");
+        mgmtCell_ = &attribution.cell(site, bindname_, "mgmt");
+    }
     Status status = initialize();
     if (!status) {
         state_ = OffcodeState::Faulted;
@@ -118,20 +120,32 @@ Offcode::onManagement(const Payload &payload, ChannelHandle from)
 
 void
 Offcode::noteDispatch(MessageKind kind, bool ok, sim::SimTime started,
-                      sim::SimTime finished)
+                      sim::SimTime finished, sim::SimTime busyNs)
 {
+    std::atomic<std::uint64_t> *cell = nullptr;
     switch (kind) {
-      case MessageKind::Call: ++telemetry_.callsHandled; break;
-      case MessageKind::Data: ++telemetry_.dataHandled; break;
-      case MessageKind::Management: ++telemetry_.mgmtHandled; break;
+      case MessageKind::Call:
+        ++telemetry_.callsHandled;
+        cell = callCell_;
+        break;
+      case MessageKind::Data:
+        ++telemetry_.dataHandled;
+        cell = dataCell_;
+        break;
+      case MessageKind::Management:
+        ++telemetry_.mgmtHandled;
+        cell = mgmtCell_;
+        break;
       case MessageKind::Return: break;
     }
     if (!ok)
         ++telemetry_.invokeErrors;
-    if (finished > started) {
-        telemetry_.busyNs += finished - started;
+    if (busyNs > 0) {
+        telemetry_.busyNs += busyNs;
         if (cpuNs_)
-            cpuNs_->add(finished - started);
+            cpuNs_->add(busyNs);
+        if (cell)
+            cell->fetch_add(busyNs, std::memory_order_relaxed);
         // Charge the budget slice this dispatch started in.
         if (quota_.cpuBudgetNs > 0) {
             const sim::SimTime period = quota_.slicePeriodNs > 0
@@ -141,7 +155,7 @@ Offcode::noteDispatch(MessageKind kind, bool ok, sim::SimTime started,
                 sliceStart_ = started - (started - sliceStart_) % period;
                 sliceUsedNs_ = 0;
             }
-            sliceUsedNs_ += finished - started;
+            sliceUsedNs_ += busyNs;
         }
     }
     if (serviceTime_)
@@ -169,18 +183,6 @@ Offcode::admitDispatch(sim::SimTime now, sim::SimTime *deferUntil)
     if (deferUntil)
         *deferUntil = sliceStart_ + period;
     return false;
-}
-
-const obs::ActivityLabel *
-Offcode::activityLabel(MessageKind kind) const
-{
-    switch (kind) {
-      case MessageKind::Call: return callLabel_;
-      case MessageKind::Data: return dataLabel_;
-      case MessageKind::Management: return mgmtLabel_;
-      case MessageKind::Return: break;
-    }
-    return nullptr;
 }
 
 void

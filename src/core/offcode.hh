@@ -14,6 +14,7 @@
 #ifndef HYDRA_CORE_OFFCODE_HH
 #define HYDRA_CORE_OFFCODE_HH
 
+#include <atomic>
 #include <functional>
 #include <map>
 #include <string>
@@ -28,7 +29,6 @@
 
 namespace hydra::obs {
 class Counter;
-struct ActivityLabel;
 } // namespace hydra::obs
 
 namespace hydra::core {
@@ -85,7 +85,7 @@ struct OffcodeTelemetry
     std::uint64_t dataHandled = 0;
     std::uint64_t mgmtHandled = 0;
     std::uint64_t invokeErrors = 0;
-    /** Simulated time the Offcode's site spent on its dispatches. */
+    /** Site-CPU busy ns the Offcode's handlers added. */
     sim::SimTime busyNs = 0;
     /** Start time of the most recent dispatch (watchdog basis). */
     sim::SimTime lastActivityAt = 0;
@@ -180,15 +180,14 @@ class Offcode
 
     // --- telemetry (hydra.Monitor introspection) ---
     const OffcodeTelemetry &telemetry() const { return telemetry_; }
-    /** Channel layer: account one dispatched message. */
-    void noteDispatch(MessageKind kind, bool ok, sim::SimTime started,
-                      sim::SimTime finished);
     /**
-     * Interned profiler label for one handler phase (call/data/mgmt);
-     * nullptr for Return. Cached at doInitialize so the dispatch path
-     * never touches the profiler's intern table.
+     * Channel layer: account one dispatched message. @p busyNs is the
+     * site-CPU busy time the handler added (ExecutionSite::endCharge);
+     * it feeds busyNs, offcode.cpu_ns, the CPU profile and the quota
+     * slice. finished - started is the service latency.
      */
-    const obs::ActivityLabel *activityLabel(MessageKind kind) const;
+    void noteDispatch(MessageKind kind, bool ok, sim::SimTime started,
+                      sim::SimTime finished, sim::SimTime busyNs);
 
   protected:
     using MethodFn = std::function<Result<Bytes>(const Bytes &)>;
@@ -220,10 +219,10 @@ class Offcode
     obs::Histogram *serviceTime_ = nullptr;
     /** `offcode.cpu_ns{offcode=bindname}`; set at doInitialize. */
     obs::Counter *cpuNs_ = nullptr;
-    /** Interned (bindname, phase) profiler labels. */
-    const obs::ActivityLabel *callLabel_ = nullptr;
-    const obs::ActivityLabel *dataLabel_ = nullptr;
-    const obs::ActivityLabel *mgmtLabel_ = nullptr;
+    /** CPU-profile cells (site, bindname, phase); set at doInitialize. */
+    std::atomic<std::uint64_t> *callCell_ = nullptr;
+    std::atomic<std::uint64_t> *dataCell_ = nullptr;
+    std::atomic<std::uint64_t> *mgmtCell_ = nullptr;
 };
 
 } // namespace hydra::core

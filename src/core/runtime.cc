@@ -470,18 +470,17 @@ Runtime::deployNode(const DepotEntry &entry, ExecutionSite &site,
         }
         dep.oob = oob.value();
 
-        Channel *oobChannel = dep.oob;
-
         // The release callback resolves the instance through
         // deployed_ at release time: a restart-with-state-handoff
         // swaps dep.instance, so a captured raw pointer would dangle.
+        // The OOB channel is likewise released by id.
         auto resource = resources_.create(
             resources_.root(), "offcode", bindname,
-            [this, bindname, oobChannel, loader, &entry]() {
+            [this, bindname, oobId = dep.oob->id(), loader, &entry]() {
                 auto dit = deployed_.find(bindname);
                 if (dit != deployed_.end() && dit->second.instance)
                     dit->second.instance->doStop();
-                executive_->destroyChannel(oobChannel);
+                executive_->destroyChannel(oobId);
                 loader->unload(entry);
             });
         if (!resource) {

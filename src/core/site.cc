@@ -1,13 +1,10 @@
 #include "core/site.hh"
 
-#include "obs/profiler.hh"
-
 namespace hydra::core {
 
 HostSite::HostSite(hw::Machine &machine)
     : machine_(machine), name_(machine.name() + ".host")
 {
-    profilerSlot_ = obs::Profiler::instance().slotFor(name_);
 }
 
 sim::SimTime
@@ -31,7 +28,6 @@ HostSite::timerAfter(sim::SimTime delay, std::function<void()> done)
 DeviceSite::DeviceSite(hw::Machine &host, dev::Device &device)
     : host_(host), device_(device)
 {
-    profilerSlot_ = obs::Profiler::instance().slotFor(device_.name());
 }
 
 sim::SimTime

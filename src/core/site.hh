@@ -19,10 +19,6 @@
 #include "hw/machine.hh"
 #include "sim/time.hh"
 
-namespace hydra::obs {
-struct SiteActivitySlot;
-} // namespace hydra::obs
-
 namespace hydra::core {
 
 /** Abstract execution locus for Offcodes. */
@@ -47,15 +43,37 @@ class ExecutionSite
     /** The host machine this site belongs to. */
     virtual hw::Machine &machine() = 0;
 
-    /**
-     * This site's interned profiler slot (never null once a concrete
-     * site is constructed); the dispatch path publishes handler
-     * activity here.
-     */
-    obs::SiteActivitySlot *profilerSlot() const { return profilerSlot_; }
+    /** The CPU that run() charges. */
+    virtual hw::Cpu &cpu() = 0;
 
-  protected:
-    obs::SiteActivitySlot *profilerSlot_ = nullptr;
+    /** Where one dispatch's CPU charge starts (see endCharge). */
+    struct ChargeMark
+    {
+        sim::SimTime busy = 0;
+        sim::SimTime charged = 0;
+    };
+
+    ChargeMark beginCharge() { return {cpu().busyTime(), chargedNs_}; }
+
+    /**
+     * Busy ns this site's CPU added since @p mark, net of what nested
+     * dispatches on this site already charged, so a handler that
+     * synchronously dispatches to a co-located Offcode is not charged
+     * twice. Only the site's own thread writes its Cpu, so the
+     * difference is exact on both engines.
+     */
+    sim::SimTime
+    endCharge(ChargeMark mark)
+    {
+        const sim::SimTime own = (cpu().busyTime() - mark.busy) -
+                                 (chargedNs_ - mark.charged);
+        chargedNs_ += own;
+        return own;
+    }
+
+  private:
+    /** Cumulative busy ns charged to dispatches on this site. */
+    sim::SimTime chargedNs_ = 0;
 };
 
 /** Offcode execution on the host CPU under the OS. */
@@ -71,6 +89,7 @@ class HostSite : public ExecutionSite
                     std::function<void()> done) override;
     dev::Device *device() override { return nullptr; }
     hw::Machine &machine() override { return machine_; }
+    hw::Cpu &cpu() override { return machine_.cpu(); }
 
   private:
     hw::Machine &machine_;
@@ -90,6 +109,7 @@ class DeviceSite : public ExecutionSite
                     std::function<void()> done) override;
     dev::Device *device() override { return &device_; }
     hw::Machine &machine() override { return host_; }
+    hw::Cpu &cpu() override { return device_.firmwareCpu(); }
 
   private:
     hw::Machine &host_;

@@ -6,7 +6,6 @@
 
 #include "chaos/chaos.hh"
 #include "obs/metrics.hh"
-#include "obs/profiler.hh"
 
 namespace hydra::exec {
 
@@ -203,7 +202,6 @@ ThreadedExecutor::addSite(const std::string &name)
     worker->batchSize = &obs::histogram("exec.batch_size", {{"site", name}});
     worker->ringDepth = &obs::gauge("exec.ring_depth", {{"site", name}});
     worker->drainBuffer.resize(config_.batchMax);
-    worker->profileSlot = obs::Profiler::instance().slotFor(name);
     Worker *raw = worker.get();
     workers_.push_back(std::move(worker));
     siteTable_[raw->id].store(raw, std::memory_order_release);
@@ -460,7 +458,6 @@ ThreadedExecutor::workerLoop(Worker &worker)
         worker.parks->increment();
         std::unique_lock<std::mutex> lock(worker.parkMutex);
         worker.parked.store(true, std::memory_order_release);
-        worker.profileSlot->parked.store(true, std::memory_order_relaxed);
         // Re-check under the parked flag so a producer's wake() can't
         // slip between our last scan and the wait. The timeout is a
         // belt-and-braces bound, not the wakeup mechanism.
@@ -475,7 +472,6 @@ ThreadedExecutor::workerLoop(Worker &worker)
         }
         if (empty && !stop_.load(std::memory_order_acquire))
             worker.cv.wait_for(lock, std::chrono::milliseconds(2));
-        worker.profileSlot->parked.store(false, std::memory_order_relaxed);
         worker.parked.store(false, std::memory_order_release);
         // Consume the doorbell only after clearing `parked`: a
         // producer observing the stale parked flag now either rings a

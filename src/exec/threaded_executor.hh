@@ -45,7 +45,6 @@ namespace hydra::obs {
 class Counter;
 class Gauge;
 class Histogram;
-struct SiteActivitySlot;
 } // namespace hydra::obs
 
 namespace hydra::exec {
@@ -197,8 +196,6 @@ class ThreadedExecutor : public Executor
         obs::Histogram *ringOccupancy = nullptr;
         obs::Histogram *batchSize = nullptr;
         obs::Gauge *ringDepth = nullptr;
-        /** Profiler slot: the park/unpark transitions publish here. */
-        obs::SiteActivitySlot *profileSlot = nullptr;
 
         ~Worker();
     };

@@ -120,7 +120,7 @@ churnOne(RunState &state, Stream &stream)
 {
     if (stream.channel) {
         Status destroyed =
-            stream.home->executive().destroyChannelById(stream.id);
+            stream.home->executive().destroyChannel(stream.id);
         if (!destroyed) {
             LOG_DEBUG << "loadgen: destroy failed for " << stream.key;
         }
@@ -316,7 +316,7 @@ runOpenLoop(Fleet &fleet, const LoadgenConfig &config)
     // state goes out of scope (the fleet may keep running after us).
     for (Stream &stream : state.streams)
         if (stream.channel)
-            stream.home->executive().destroyChannelById(stream.id);
+            stream.home->executive().destroyChannel(stream.id);
     executor.drain();
     return report;
 }

@@ -14,6 +14,21 @@ CpuAttribution::instance()
 }
 
 void
+CpuAttribution::baseline(SiteEntry &entry, BusyFn busyUpTo, bool isDevice,
+                         std::uint64_t nowNs)
+{
+    entry.busyUpTo = std::move(busyUpTo);
+    entry.isDevice = isDevice;
+    entry.registeredNs = nowNs;
+    entry.lastSyncNs = nowNs;
+    entry.busyAtRegistration = entry.busyUpTo(nowNs);
+    entry.busyReported = entry.busyAtRegistration;
+    for (auto &cell : cells_)
+        if (cell->site == entry.name)
+            cell->baseline = cell->ns.load(std::memory_order_relaxed);
+}
+
+void
 CpuAttribution::registerSite(const std::string &site, BusyFn busyUpTo,
                              bool isDevice, std::uint64_t nowNs,
                              const std::string &host)
@@ -25,18 +40,12 @@ CpuAttribution::registerSite(const std::string &site, BusyFn busyUpTo,
         // Same name, new CPU model (a fresh Testbed in the same
         // process): re-baseline so the stale callback is dropped and
         // deltas restart from now.
-        entry->busyUpTo = std::move(busyUpTo);
-        entry->isDevice = isDevice;
-        entry->lastSyncNs = nowNs;
-        entry->busyReported = entry->busyUpTo(nowNs);
+        baseline(*entry, std::move(busyUpTo), isDevice, nowNs);
         return;
     }
     auto entry = std::make_unique<SiteEntry>();
     entry->name = site;
-    entry->busyUpTo = std::move(busyUpTo);
-    entry->isDevice = isDevice;
-    entry->lastSyncNs = nowNs;
-    entry->busyReported = entry->busyUpTo(nowNs);
+    baseline(*entry, std::move(busyUpTo), isDevice, nowNs);
     Labels siteLabels{{"site", site}};
     Labels deviceLabels{{"device", site}};
     if (!host.empty()) {
@@ -81,6 +90,56 @@ CpuAttribution::registerOffcode(const std::string &bindname,
     entry->lastCpuNs = entry->cpuNs->value();
     entry->lastSyncNs = nowNs;
     offcodes_.push_back(std::move(entry));
+}
+
+CpuAttribution::BusyCell &
+CpuAttribution::cell(const std::string &site, const std::string &offcode,
+                     const std::string &phase)
+{
+    const std::string stack = site + ";" + offcode + ";" + phase;
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (auto &entry : cells_)
+        if (entry->stack == stack)
+            return entry->ns;
+    auto entry = std::make_unique<CellEntry>();
+    entry->site = site;
+    entry->stack = stack;
+    cells_.push_back(std::move(entry));
+    return cells_.back()->ns;
+}
+
+std::string
+CpuAttribution::foldedStacks() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::vector<std::pair<std::string, std::uint64_t>> rows;
+    for (const auto &site : sites_) {
+        const std::size_t first = rows.size();
+        for (const auto &cell : cells_)
+            if (cell->site == site->name)
+                rows.emplace_back(
+                    cell->stack,
+                    cell->ns.load(std::memory_order_relaxed) -
+                        cell->baseline);
+        std::sort(rows.begin() + static_cast<std::ptrdiff_t>(first),
+                  rows.end());
+        const std::uint64_t busy =
+            site->busyReported - site->busyAtRegistration;
+        std::uint64_t unclaimed = busy;
+        for (std::size_t i = first; i < rows.size(); ++i) {
+            rows[i].second = std::min(rows[i].second, unclaimed);
+            unclaimed -= rows[i].second;
+        }
+        rows.emplace_back(site->name + ";other", unclaimed);
+        rows.emplace_back(site->name + ";idle",
+                          site->lastSyncNs - site->registeredNs - busy);
+    }
+    std::sort(rows.begin(), rows.end());
+    std::string out;
+    for (const auto &[stack, ns] : rows)
+        if (ns > 0)
+            out += stack + " " + std::to_string(ns) + "\n";
+    return out;
 }
 
 void

@@ -11,8 +11,14 @@
  *   exec.site_busy_ns{site=}     simulated ns the site's CPU ran work
  *   exec.site_idle_ns{site=}     simulated ns the site sat idle
  *   device.cpu_utilization{device=}  busy fraction of the last window
- *   offcode.cpu_ns{offcode=}     CPU time charged to one Offcode
+ *   offcode.cpu_ns{offcode=}     site-CPU busy ns its handlers added
  *   offcode.utilization{offcode=}    that Offcode's busy fraction
+ *
+ * The same per-dispatch charge also lands in a (site, offcode, phase)
+ * cell, phase one of call/data/mgmt. foldedStacks() turns the cells
+ * into the exact busy-ns profile: per site, one row per cell, an
+ * `other` row for busy time outside any dispatch (interrupts, DMA,
+ * the OS tick), and an `idle` row, summing to the elapsed time.
  *
  * Sites register a busy-up-to callback (a clamped read of hw::Cpu's
  * cumulative busy clock) rather than a Cpu pointer, so obs stays free
@@ -34,6 +40,7 @@
 #ifndef HYDRA_OBS_ATTRIBUTION_HH
 #define HYDRA_OBS_ATTRIBUTION_HH
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -79,6 +86,30 @@ class CpuAttribution
      */
     void registerOffcode(const std::string &bindname, std::uint64_t nowNs);
 
+    /** Busy ns charged to one (site, offcode, phase); relaxed adds. */
+    using BusyCell = std::atomic<std::uint64_t>;
+
+    /**
+     * The cell for (@p site, @p offcode, @p phase), created on first
+     * use. Resolve once at deploy; the dispatch path then adds to it
+     * without a lock. Cells live for the process; registering their
+     * site again re-baselines them.
+     */
+    BusyCell &cell(const std::string &site, const std::string &offcode,
+                   const std::string &phase);
+
+    /**
+     * Folded-stack profile weighted by virtual ns, one sorted row per
+     * line: `site;offcode;phase busy`, `site;other busy` and
+     * `site;idle idle`, zero rows omitted. Covers each registered
+     * site from its (re-)registration to its last sync, with the busy
+     * and idle totals sync reported, so a site's rows sum to exactly
+     * its elapsed time. Cells claim the site's busy time in row order;
+     * charged work that still lies past the last sync is left off the
+     * tail and carries into a later fold, as sync carries it.
+     */
+    std::string foldedStacks() const;
+
     /**
      * Advance every entry's accounting to @p nowNs. Monotonic: calls
      * with a non-advancing clock are no-ops. Call from the thread
@@ -97,7 +128,9 @@ class CpuAttribution
         std::string name;
         BusyFn busyUpTo;
         bool isDevice = false;
+        std::uint64_t registeredNs = 0;
         std::uint64_t lastSyncNs = 0;
+        std::uint64_t busyAtRegistration = 0;
         std::uint64_t busyReported = 0;
         Counter *busy = nullptr;
         Counter *idle = nullptr;
@@ -113,9 +146,21 @@ class CpuAttribution
         std::uint64_t lastSyncNs = 0;
     };
 
+    struct CellEntry
+    {
+        std::string site;
+        std::string stack; // "site;offcode;phase"
+        BusyCell ns{0};
+        std::uint64_t baseline = 0;
+    };
+
+    void baseline(SiteEntry &entry, BusyFn busyUpTo, bool isDevice,
+                  std::uint64_t nowNs);
+
     mutable std::mutex mutex_;
     std::vector<std::unique_ptr<SiteEntry>> sites_;
     std::vector<std::unique_ptr<OffcodeEntry>> offcodes_;
+    std::vector<std::unique_ptr<CellEntry>> cells_;
 };
 
 } // namespace hydra::obs

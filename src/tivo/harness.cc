@@ -4,7 +4,6 @@
 #include "common/logging.hh"
 #include "obs/attribution.hh"
 #include "obs/flight.hh"
-#include "obs/profiler.hh"
 #include "obs/slo.hh"
 
 namespace hydra::tivo {
@@ -351,20 +350,8 @@ Testbed::run()
             });
     }
 
-    exec::TaskId profileSampler = 0;
-    if (config_.profileInterval > 0 &&
-        obs::Profiler::instance().enabled()) {
-        profileSampler =
-            exec_->schedulePeriodic(config_.profileInterval, [this]() {
-                obs::Profiler::instance().sample(exec_->now());
-                return true;
-            });
-    }
-
     exec_->runUntil(config_.warmup + config_.duration);
     exec_->cancel(sampler); // the lambda references this frame's locals
-    if (profileSampler != 0)
-        exec_->cancel(profileSampler);
     // Final sync so busy+idle covers the whole run up to now().
     obs::CpuAttribution::instance().sync(exec_->now());
     if (flightSampler != 0) {

@@ -59,12 +59,6 @@ struct TestbedConfig
      * executor time (so SimExecutor runs are deterministic).
      */
     sim::SimTime flightInterval = 0;
-    /**
-     * Sampling-profiler interval; 0 disables sampling. Samples are
-     * taken on executor time (deterministic under SimExecutor) and
-     * only when the global obs::Profiler is enabled.
-     */
-    sim::SimTime profileInterval = 0;
 
     std::uint64_t seed = 1;
     MpegConfig mpeg;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <sstream>
 #include <vector>
 
@@ -184,9 +185,10 @@ TEST_F(ChannelFixture, DestroyRemovesChannel)
     ChannelConfig config;
     auto channel = executive_->createChannel(config, hostSite_);
     ASSERT_TRUE(channel.ok());
-    EXPECT_TRUE(executive_->destroyChannel(channel.value()).ok());
+    const ChannelId id = channel.value()->id();
+    EXPECT_TRUE(executive_->destroyChannel(id).ok());
     EXPECT_EQ(executive_->activeChannels(), 0u);
-    EXPECT_FALSE(executive_->destroyChannel(channel.value()).ok());
+    EXPECT_FALSE(executive_->destroyChannel(id).ok());
 }
 
 TEST_F(ChannelFixture, ProviderNamesListed)
@@ -241,6 +243,69 @@ TEST_F(ChannelFixture, CallDispatchAndReturn)
     sim_.runToCompletion();
     EXPECT_EQ(result, (Bytes{3, 2, 1}));
     EXPECT_EQ(proxy.pendingCalls(), 0u);
+}
+
+/** Burns a fixed number of site cycles per data message, then runs
+ * an optional hook. */
+class BurnOffcode : public Offcode
+{
+  public:
+    BurnOffcode(std::string bindname, std::uint64_t cycles)
+        : Offcode(std::move(bindname)), cycles_(cycles)
+    {
+    }
+
+    void
+    onData(const Payload &payload, ChannelHandle from) override
+    {
+        (void)payload;
+        (void)from;
+        site().run(cycles_);
+        if (hook)
+            hook();
+    }
+
+    std::function<void()> hook;
+
+  private:
+    std::uint64_t cycles_;
+};
+
+TEST_F(ChannelFixture, NestedDispatchIsChargedOnce)
+{
+    // All three Offcodes share the device site. The outer handler
+    // rebinds a detached channel, which drains its backlog into the
+    // inner Offcode synchronously: a dispatch nested in a dispatch.
+    BurnOffcode outer("test.Outer", 1000);
+    BurnOffcode detached("test.Detached", 0);
+    BurnOffcode inner("test.Inner", 3000);
+    place(outer, *deviceSite_);
+    place(detached, *deviceSite_);
+    place(inner, *deviceSite_);
+
+    ChannelConfig config;
+    config.targetDevice = deviceSite_->name();
+    auto backlog = executive_->createChannel(config, *deviceSite_);
+    ASSERT_TRUE(backlog.ok());
+    ASSERT_TRUE(backlog.value()->connectOffcode(detached).ok());
+    ASSERT_EQ(backlog.value()->detachOffcode(detached), 1u);
+    ASSERT_TRUE(backlog.value()->write(encodeData(Bytes{1})).ok());
+    sim_.runToCompletion(); // queued at the handler-less endpoint
+
+    auto trigger = executive_->createChannel(config, *deviceSite_);
+    ASSERT_TRUE(trigger.ok());
+    ASSERT_TRUE(trigger.value()->connectOffcode(outer).ok());
+    outer.hook = [&]() {
+        backlog.value()->rebindOffcode(detached, inner);
+    };
+    ASSERT_TRUE(trigger.value()->write(encodeData(Bytes{2})).ok());
+    sim_.runToCompletion();
+
+    // Each Offcode is charged the cycles its own handler ran.
+    const hw::Cpu &cpu = deviceSite_->cpu();
+    EXPECT_EQ(inner.telemetry().dataHandled, 1u);
+    EXPECT_EQ(inner.telemetry().busyNs, cpu.cycleTime(3000));
+    EXPECT_EQ(outer.telemetry().busyNs, cpu.cycleTime(1000));
 }
 
 TEST_F(ChannelFixture, FailedCallPropagatesError)

@@ -291,7 +291,7 @@ TEST(CrossHostChannelTest, DestroyMidFlightOrphansFramesSafely)
     // Destroy while the frames are still in flight on the fabric: the
     // receiver's route table entry disappears, so the frames must be
     // counted as orphans, not delivered into freed memory.
-    ASSERT_TRUE(fleet.host(0).executive().destroyChannelById(id).ok());
+    ASSERT_TRUE(fleet.host(0).executive().destroyChannel(id).ok());
     exec.runUntil(exec.now() + sim::milliseconds(50));
     exec.drain();
 
@@ -330,10 +330,10 @@ TEST(ExecutiveShardTest, IdIndexedRegistryIsExact)
               nullptr);
 
     const core::ChannelId id = channel->id();
-    ASSERT_TRUE(shard.destroyChannelById(id).ok());
+    ASSERT_TRUE(shard.destroyChannel(id).ok());
     EXPECT_EQ(shard.activeChannels(), before);
     EXPECT_EQ(shard.findChannel(id), nullptr);
-    EXPECT_FALSE(shard.destroyChannelById(id).ok());
+    EXPECT_FALSE(shard.destroyChannel(id).ok());
 }
 
 // ------------------------------------------------------------ loadgen

@@ -18,6 +18,7 @@
 
 #include "common/json.hh"
 #include "core/runtime.hh"
+#include "obs/attribution.hh"
 #include "obs/metrics.hh"
 #include "obs/span.hh"
 #include "obs/trace.hh"
@@ -486,9 +487,12 @@ TEST(TestbedTest, DifferentSeedsDifferentNoise)
  * CPU attribution invariant: for every execution site, the busy and
  * idle counters a run accumulates sum to exactly the virtual time the
  * run covered — the clamped-delta accounting may defer busy time, but
- * it never loses or invents any. Checked on both engines; metrics are
- * process-cumulative, so everything is measured as deltas across one
- * Testbed whose construction re-baselines the site entries.
+ * it never loses or invents any. The Offcodes on a site are charged
+ * no more than the site was busy, and the folded CPU profile's rows
+ * for a site sum to the same elapsed time. Checked on both engines;
+ * metrics are process-cumulative, so everything is measured as deltas
+ * across one Testbed whose construction re-baselines the site entries
+ * and profile cells.
  */
 void
 expectBusyPlusIdleEqualsElapsed(exec::ExecutorKind kind)
@@ -520,6 +524,9 @@ expectBusyPlusIdleEqualsElapsed(exec::ExecutorKind kind)
     const std::uint64_t decoderCpuBefore =
         registry.counterValue("offcode.cpu_ns",
                               {{"offcode", "tivo.Decoder"}});
+    std::map<std::string, std::uint64_t> countersBefore;
+    for (const auto &[key, value] : registry.snapshot().counters)
+        countersBefore[key] = value;
 
     const ScenarioResult result = testbed.run();
     ASSERT_TRUE(result.deploymentOk);
@@ -529,6 +536,7 @@ expectBusyPlusIdleEqualsElapsed(exec::ExecutorKind kind)
     // covered interval is exactly [0, now].
     const std::uint64_t elapsed = testbed.executor().now();
     ASSERT_GT(elapsed, 0u);
+    std::map<std::string, std::uint64_t> siteBusy;
     for (const std::string &site : sites) {
         const std::uint64_t busy =
             registry.counterValue(
@@ -541,7 +549,38 @@ expectBusyPlusIdleEqualsElapsed(exec::ExecutorKind kind)
                 {{"site", site}, {"host", hostOf(site)}}) -
             idleBefore[site];
         EXPECT_EQ(busy + idle, elapsed) << site;
+        siteBusy[site] = busy;
     }
+
+    // offcode.cpu_ns is the site-CPU busy time each handler added, so
+    // the Offcodes sharing a site never add up to more than its busy.
+    std::map<std::string, std::uint64_t> offcodeCpu;
+    for (core::Runtime *runtime :
+         {testbed.serverRuntime(), testbed.clientRuntime()}) {
+        for (const core::OffcodeIntrospection &oc :
+             runtime->introspect().offcodes) {
+            const std::string key = obs::displayKey(
+                "offcode.cpu_ns", {{"offcode", oc.bindname}});
+            offcodeCpu[oc.site] +=
+                registry.counterValue("offcode.cpu_ns",
+                                      {{"offcode", oc.bindname}}) -
+                countersBefore[key];
+        }
+    }
+    for (const std::string &site : sites)
+        EXPECT_LE(offcodeCpu[site], siteBusy[site]) << site;
+
+    // The exact profile covers each site's elapsed time once.
+    std::map<std::string, std::uint64_t> profiled;
+    std::istringstream folded(
+        obs::CpuAttribution::instance().foldedStacks());
+    for (std::string line; std::getline(folded, line);) {
+        const std::size_t space = line.rfind(' ');
+        profiled[line.substr(0, line.find(';'))] +=
+            std::stoull(line.substr(space + 1));
+    }
+    for (const std::string &site : sites)
+        EXPECT_EQ(profiled[site], elapsed) << site;
 
     // The pipeline ran, so its devices burned CPU and the per-Offcode
     // attribution saw it.

@@ -7,11 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "json_checker.hh"
+#include "obs/attribution.hh"
 #include "obs/json.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -378,4 +382,118 @@ TEST_F(ObsTest, PrettyTableAlignsValueColumn)
             EXPECT_EQ(column, valueColumn) << table;
     }
     EXPECT_NE(valueColumn, std::string::npos);
+}
+
+// --------------------------------------------------- CPU profile fold
+
+TEST_F(ObsTest, CpuProfileRowsAreSortedAndStable)
+{
+    obs::CpuAttribution &attribution = obs::CpuAttribution::instance();
+    std::uint64_t busyA = 0;
+    std::uint64_t busyB = 0;
+    attribution.registerSite(
+        "fold.b", [&](std::uint64_t) { return busyB; }, true, 0);
+    attribution.registerSite(
+        "fold.a", [&](std::uint64_t) { return busyA; }, false, 0);
+    attribution.cell("fold.a", "oc.Two", "data").fetch_add(300);
+    attribution.cell("fold.a", "oc.One", "call").fetch_add(200);
+    busyA = 600; // 500 ns in handlers, 100 ns outside any dispatch
+    busyB = 50;
+    attribution.sync(1000);
+
+    // Sorted rows, zero rows omitted; each site's rows sum to its
+    // elapsed 1000 ns.
+    const std::string folded = attribution.foldedStacks();
+    EXPECT_EQ(folded, "fold.a;idle 400\n"
+                      "fold.a;oc.One;call 200\n"
+                      "fold.a;oc.Two;data 300\n"
+                      "fold.a;other 100\n"
+                      "fold.b;idle 950\n"
+                      "fold.b;other 50\n");
+    EXPECT_EQ(attribution.foldedStacks(), folded);
+
+    attribution.unregisterSite("fold.a");
+    attribution.unregisterSite("fold.b");
+    EXPECT_EQ(attribution.foldedStacks(), "");
+}
+
+TEST_F(ObsTest, CpuProfileCellsHaveStableIdentity)
+{
+    obs::CpuAttribution &attribution = obs::CpuAttribution::instance();
+    obs::CpuAttribution::BusyCell &call =
+        attribution.cell("same.site", "oc", "call");
+    EXPECT_EQ(&attribution.cell("same.site", "oc", "call"), &call);
+    EXPECT_NE(&attribution.cell("same.site", "oc", "data"), &call);
+    EXPECT_NE(&attribution.cell("other.site", "oc", "call"), &call);
+}
+
+TEST_F(ObsTest, CpuProfileReRegistrationRebaselinesCells)
+{
+    obs::CpuAttribution &attribution = obs::CpuAttribution::instance();
+    std::uint64_t busy = 500;
+    attribution.registerSite(
+        "rebase", [&](std::uint64_t) { return busy; }, true, 0);
+    obs::CpuAttribution::BusyCell &call =
+        attribution.cell("rebase", "oc", "call");
+    call.fetch_add(500);
+    attribution.sync(1000);
+
+    // A new CPU model under the same name: the fold covers only what
+    // ran since. Work charged past the last sync is left off until
+    // the clock reaches it, as sync carries it.
+    std::uint64_t busy2 = 0;
+    attribution.registerSite(
+        "rebase", [&](std::uint64_t) { return busy2; }, true, 1000);
+    call.fetch_add(70);
+    busy2 = 40;
+    attribution.sync(1100);
+    EXPECT_EQ(attribution.foldedStacks(), "rebase;idle 60\n"
+                                          "rebase;oc;call 40\n");
+    busy2 = 70;
+    attribution.sync(1200);
+    EXPECT_EQ(attribution.foldedStacks(), "rebase;idle 130\n"
+                                          "rebase;oc;call 70\n");
+
+    attribution.unregisterSite("rebase");
+}
+
+TEST_F(ObsTest, CpuProfileCellsTakeConcurrentAdds)
+{
+    // Worker threads charge their cells (relaxed adds, no lock) while
+    // the coordinator syncs and folds; every fold still covers exactly
+    // the elapsed time, and no add is lost.
+    obs::CpuAttribution &attribution = obs::CpuAttribution::instance();
+    constexpr int kThreads = 4;
+    constexpr std::uint64_t kAdds = 20000;
+    attribution.registerSite(
+        "stress",
+        [](std::uint64_t now) { return std::min(now, kThreads * kAdds); },
+        true, 0);
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t)
+        workers.emplace_back([&attribution, t]() {
+            obs::CpuAttribution::BusyCell &cell = attribution.cell(
+                "stress", "oc" + std::to_string(t), "data");
+            for (std::uint64_t i = 0; i < kAdds; ++i)
+                cell.fetch_add(1, std::memory_order_relaxed);
+        });
+    for (std::uint64_t now = 1; now <= 50; ++now) {
+        attribution.sync(now);
+        std::uint64_t total = 0;
+        std::istringstream rows(attribution.foldedStacks());
+        for (std::string row; std::getline(rows, row);)
+            total += std::stoull(row.substr(row.rfind(' ') + 1));
+        EXPECT_EQ(total, now);
+    }
+    for (std::thread &worker : workers)
+        worker.join();
+    attribution.sync(kThreads * kAdds);
+
+    std::string expected;
+    for (int t = 0; t < kThreads; ++t)
+        expected += "stress;oc" + std::to_string(t) + ";data " +
+                    std::to_string(kAdds) + "\n";
+    EXPECT_EQ(attribution.foldedStacks(), expected);
+
+    attribution.unregisterSite("stress");
 }

@@ -19,7 +19,7 @@
  *             [--metrics-out FILE] [--trace-out FILE]
  *             [--spans-out FILE] [--introspect-out FILE]
  *             [--flight-out FILE] [--flight-interval-ms N]
- *             [--profile-out FILE] [--profile-interval-ms N]
+ *             [--profile-out FILE]
  *             [--slo FILE] [--slo-strict]
  *             [--chaos SEED[:spec]]
  *
@@ -36,13 +36,14 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 #include <string>
 
 #include "chaos/chaos.hh"
 #include "core/runtime.hh"
+#include "obs/attribution.hh"
 #include "obs/flight.hh"
 #include "obs/metrics.hh"
-#include "obs/profiler.hh"
 #include "obs/slo.hh"
 #include "obs/trace.hh"
 #include "tivo/harness.hh"
@@ -67,7 +68,7 @@ usage(const char *argv0)
         "          [--metrics-out FILE] [--trace-out FILE]\n"
         "          [--spans-out FILE] [--introspect-out FILE]\n"
         "          [--flight-out FILE] [--flight-interval-ms N]\n"
-        "          [--profile-out FILE] [--profile-interval-ms N]\n"
+        "          [--profile-out FILE]\n"
         "          [--slo FILE] [--slo-strict]\n"
         "          [--chaos SEED[:drop=P,dup=P,corrupt=P,slow=P,"
         "stall=P,poolfail=P,ringfull=P,reset@MS=dev[/ms]]]\n",
@@ -295,7 +296,6 @@ main(int argc, char **argv)
     std::string flightOut;
     std::uint64_t flightIntervalMs = 0;
     std::string profileOut;
-    std::uint64_t profileIntervalMs = 0;
     std::string sloPath;
     bool sloStrict = false;
 
@@ -425,15 +425,6 @@ main(int argc, char **argv)
             if (!value)
                 return usage(argv[0]);
             profileOut = value;
-        } else if (arg == "--profile-interval-ms") {
-            const char *value = next();
-            if (!value || !parseIntervalMs(value, profileIntervalMs)) {
-                std::fprintf(stderr,
-                             "%s: --profile-interval-ms wants a positive "
-                             "integer, got '%s'\n",
-                             argv[0], value ? value : "");
-                return usage(argv[0]);
-            }
         } else if (arg == "--slo") {
             const char *value = next();
             if (!value)
@@ -469,14 +460,6 @@ main(int argc, char **argv)
     if ((!flightOut.empty() || !sloPath.empty()) && flightIntervalMs == 0)
         flightIntervalMs = 1000;
     config.flightInterval = sim::milliseconds(flightIntervalMs);
-
-    // Asking for profile output implies a default sampling cadence.
-    if (!profileOut.empty() && profileIntervalMs == 0)
-        profileIntervalMs = 100;
-    config.profileInterval = sim::milliseconds(profileIntervalMs);
-    if (!profileOut.empty())
-        obs::Profiler::instance().enable(
-            sim::milliseconds(profileIntervalMs));
 
     if (!sloPath.empty()) {
         std::ifstream spec(sloPath);
@@ -642,11 +625,22 @@ main(int argc, char **argv)
                          profileOut.c_str());
             return 1;
         }
-        out << obs::Profiler::instance().foldedStacks();
-        std::printf("(wrote %llu profile samples to %s — folded-stack "
-                    "format, flamegraph-ready)\n",
-                    static_cast<unsigned long long>(
-                        obs::Profiler::instance().samplesTaken()),
+        // The testbed's final attribution sync closed every site's
+        // busy/idle window at the end of the run.
+        const std::string folded =
+            obs::CpuAttribution::instance().foldedStacks();
+        out << folded;
+        std::uint64_t rows = 0, busyNs = 0;
+        std::istringstream lines(folded);
+        for (std::string line; std::getline(lines, line); ++rows) {
+            const std::size_t space = line.rfind(' ');
+            if (!line.substr(0, space).ends_with(";idle"))
+                busyNs += std::stoull(line.substr(space + 1));
+        }
+        std::printf("(wrote %llu profile rows, %llu busy ns, to %s — "
+                    "folded-stack format, flamegraph-ready)\n",
+                    static_cast<unsigned long long>(rows),
+                    static_cast<unsigned long long>(busyNs),
                     profileOut.c_str());
     }
     if (!introspectOut.empty()) {
