@@ -85,13 +85,6 @@ SampleSet::median() const
     return percentile(50.0);
 }
 
-const std::vector<double> &
-SampleSet::sorted() const
-{
-    ensureSorted();
-    return sorted_;
-}
-
 SummaryStats
 SampleSet::summary() const
 {
@@ -155,18 +148,6 @@ Histogram::add(double sample)
     ++total_;
 }
 
-std::vector<double>
-Histogram::normalized() const
-{
-    std::vector<double> out(bins_.size(), 0.0);
-    if (total_ == 0)
-        return out;
-    for (std::size_t i = 0; i < bins_.size(); ++i)
-        out[i] = static_cast<double>(bins_[i].count) /
-                 static_cast<double>(total_);
-    return out;
-}
-
 std::string
 Histogram::render(std::size_t width) const
 {
@@ -184,29 +165,6 @@ Histogram::render(std::size_t width) const
         out += line;
         out.append(bar, '#');
         out += '\n';
-    }
-    return out;
-}
-
-std::vector<CdfPoint>
-empiricalCdf(const SampleSet &samples)
-{
-    std::vector<CdfPoint> out;
-    if (samples.empty())
-        return out;
-
-    // Reuse the SampleSet's cached sort instead of copying and
-    // re-sorting the raw vector.
-    const std::vector<double> &sorted = samples.sorted();
-
-    const auto n = static_cast<double>(sorted.size());
-    std::size_t i = 0;
-    while (i < sorted.size()) {
-        std::size_t j = i;
-        while (j + 1 < sorted.size() && sorted[j + 1] == sorted[i])
-            ++j;
-        out.push_back({sorted[i], static_cast<double>(j + 1) / n});
-        i = j + 1;
     }
     return out;
 }

@@ -2,7 +2,7 @@
  * @file
  * Statistics utilities used by the evaluation harness: summary
  * statistics (median/average/stddev as reported in the paper's
- * Tables 2–4), fixed-bin histograms, and empirical CDFs (Fig. 9).
+ * Tables 2–4) and fixed-bin histograms (Fig. 9).
  */
 
 #ifndef HYDRA_COMMON_STATS_HH
@@ -60,8 +60,6 @@ class SampleSet
     SummaryStats summary() const;
 
     const std::vector<double> &samples() const { return samples_; }
-    /** Sorted view (cached; re-sorted only after new samples). */
-    const std::vector<double> &sorted() const;
 
   private:
     /** Sorts the sample buffer if new samples arrived since last sort. */
@@ -95,9 +93,6 @@ class Histogram
     std::size_t totalCount() const { return total_; }
     const std::vector<HistogramBin> &bins() const { return bins_; }
 
-    /** Fraction of samples in each bin (empty histogram: all zero). */
-    std::vector<double> normalized() const;
-
     /** Render an ASCII bar chart (for bench output). */
     std::string render(std::size_t width = 50) const;
 
@@ -107,16 +102,6 @@ class Histogram
     std::vector<HistogramBin> bins_;
     std::size_t total_ = 0;
 };
-
-/** A point on an empirical CDF: P(X <= value) = probability. */
-struct CdfPoint
-{
-    double value = 0.0;
-    double probability = 0.0;
-};
-
-/** Empirical CDF of a sample set, sampled at each distinct value. */
-std::vector<CdfPoint> empiricalCdf(const SampleSet &samples);
 
 } // namespace hydra
 

@@ -30,6 +30,7 @@
 #include <string>
 
 #include "chaos/chaos.hh"
+#include "common/strings.hh"
 #include "exec/executor.hh"
 #include "fleet/fleet.hh"
 #include "fleet/loadgen.hh"
@@ -56,18 +57,17 @@ usage(const char *argv0)
     return 2;
 }
 
+/**
+ * Strict integer flag value, at least @p lo: non-digits and values
+ * that overflow fail instead of wrapping.
+ */
 bool
-parseU64(const char *value, std::uint64_t &out)
+parseIntFlag(const char *value, long long lo, std::uint64_t &out)
 {
-    if (!value || *value == '\0')
+    long long parsed = 0;
+    if (!value || !parseInt(value, parsed) || parsed < lo)
         return false;
-    std::uint64_t parsed = 0;
-    for (const char *p = value; *p != '\0'; ++p) {
-        if (*p < '0' || *p > '9')
-            return false;
-        parsed = parsed * 10 + static_cast<std::uint64_t>(*p - '0');
-    }
-    out = parsed;
+    out = static_cast<std::uint64_t>(parsed);
     return true;
 }
 
@@ -174,32 +174,29 @@ main(int argc, char **argv)
         const std::string arg = argv[i];
         const char *value = i + 1 < argc ? argv[i + 1] : nullptr;
         std::uint64_t parsed = 0;
-        if (arg == "--hosts" && parseU64(value, parsed) && parsed > 0) {
+        if (arg == "--hosts" && parseIntFlag(value, 1, parsed)) {
             fleetConfig.hosts = parsed;
             ++i;
-        } else if (arg == "--streams" && parseU64(value, parsed) &&
-                   parsed > 0) {
+        } else if (arg == "--streams" && parseIntFlag(value, 1, parsed)) {
             load.streams = parsed;
             ++i;
-        } else if (arg == "--rate" && parseU64(value, parsed)) {
+        } else if (arg == "--rate" && parseIntFlag(value, 0, parsed)) {
             load.offeredMsgsPerSec = static_cast<double>(parsed);
             ++i;
-        } else if (arg == "--bytes" && parseU64(value, parsed) &&
-                   parsed >= 8) {
+        } else if (arg == "--bytes" && parseIntFlag(value, 8, parsed)) {
             load.messageBytes = parsed;
             ++i;
-        } else if (arg == "--duration-ms" && parseU64(value, parsed) &&
-                   parsed > 0) {
+        } else if (arg == "--duration-ms" &&
+                   parseIntFlag(value, 1, parsed)) {
             durationMs = parsed;
             ++i;
-        } else if (arg == "--tick-us" && parseU64(value, parsed) &&
-                   parsed > 0) {
+        } else if (arg == "--tick-us" && parseIntFlag(value, 1, parsed)) {
             tickUs = parsed;
             ++i;
-        } else if (arg == "--churn" && parseU64(value, parsed)) {
+        } else if (arg == "--churn" && parseIntFlag(value, 0, parsed)) {
             load.churnPerTick = parsed;
             ++i;
-        } else if (arg == "--seed" && parseU64(value, parsed)) {
+        } else if (arg == "--seed" && parseIntFlag(value, 0, parsed)) {
             fleetConfig.seed = parsed;
             ++i;
         } else if (arg == "--executor" && value) {

@@ -32,14 +32,15 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <sstream>
 #include <string>
 
 #include "chaos/chaos.hh"
+#include "common/strings.hh"
 #include "core/runtime.hh"
 #include "obs/attribution.hh"
 #include "obs/flight.hh"
@@ -76,25 +77,29 @@ usage(const char *argv0)
     return 2;
 }
 
+constexpr long long kNoMax = std::numeric_limits<long long>::max();
+
+/** Largest count of a unit that still fits a SimTime. */
+constexpr long long
+maxCount(sim::SimTime unit)
+{
+    return static_cast<long long>(
+        std::numeric_limits<sim::SimTime>::max() / unit);
+}
+
 /**
- * Strict parser for interval flags: a positive base-10 millisecond
- * count, nothing else. "-5", "0", "1.5", "10x", and "" all fail —
- * std::strtoull would silently accept or wrap most of those.
+ * Strict integer flag value in [lo, hi]. "abc", "1.5", "10x", "",
+ * out-of-range and overflowing values all fail, where std::strtoull
+ * would silently read 0 or wrap.
  */
 bool
-parseIntervalMs(const char *value, std::uint64_t &out)
+parseIntFlag(const char *value, long long lo, long long hi,
+             std::uint64_t &out)
 {
-    if (!value || *value == '\0')
+    long long parsed = 0;
+    if (!value || !parseInt(value, parsed) || parsed < lo || parsed > hi)
         return false;
-    std::uint64_t parsed = 0;
-    for (const char *p = value; *p != '\0'; ++p) {
-        if (*p < '0' || *p > '9')
-            return false;
-        parsed = parsed * 10 + static_cast<std::uint64_t>(*p - '0');
-    }
-    if (parsed == 0)
-        return false;
-    out = parsed;
+    out = static_cast<std::uint64_t>(parsed);
     return true;
 }
 
@@ -326,43 +331,40 @@ main(int argc, char **argv)
             if (!exec::parseExecutorKind(value, config.executor))
                 return usage(argv[0]);
         } else if (arg == "--batch-max") {
-            const char *value = next();
+            // A zero or malformed quantum is a usage error, not "use
+            // default".
             std::uint64_t parsed = 0;
-            // Reuses the strict positive-integer parser: a zero or
-            // malformed quantum is a usage error, not "use default".
-            if (!value || !parseIntervalMs(value, parsed))
+            if (!parseIntFlag(next(), 1, kNoMax, parsed))
                 return usage(argv[0]);
             config.batchMax = static_cast<std::size_t>(parsed);
         } else if (arg == "--seconds") {
-            const char *value = next();
-            if (!value)
+            std::uint64_t parsed = 0;
+            if (!parseIntFlag(next(), 1, maxCount(sim::seconds(1)),
+                              parsed))
                 return usage(argv[0]);
-            config.duration = sim::seconds(
-                static_cast<std::uint64_t>(std::strtoull(value, nullptr,
-                                                         10)));
+            config.duration = sim::seconds(parsed);
         } else if (arg == "--seed") {
-            const char *value = next();
-            if (!value)
+            if (!parseIntFlag(next(), 0, kNoMax, config.seed))
                 return usage(argv[0]);
-            config.seed = std::strtoull(value, nullptr, 10);
         } else if (arg == "--period-ms") {
-            const char *value = next();
-            if (!value)
+            std::uint64_t parsed = 0;
+            if (!parseIntFlag(next(), 1, maxCount(sim::milliseconds(1)),
+                              parsed))
                 return usage(argv[0]);
-            config.sendPeriod = sim::milliseconds(
-                static_cast<std::uint64_t>(std::strtoull(value, nullptr,
-                                                         10)));
+            config.sendPeriod = sim::milliseconds(parsed);
         } else if (arg == "--chunk-bytes") {
-            const char *value = next();
-            if (!value)
+            std::uint64_t parsed = 0;
+            if (!parseIntFlag(next(), 1, kNoMax, parsed))
                 return usage(argv[0]);
-            config.chunkBytes = static_cast<std::size_t>(
-                std::strtoull(value, nullptr, 10));
+            config.chunkBytes = static_cast<std::size_t>(parsed);
         } else if (arg == "--drop") {
             const char *value = next();
-            if (!value)
+            double parsed = 0.0;
+            // Written so that NaN fails the range test too.
+            if (!value || !parseDouble(value, parsed) ||
+                !(parsed >= 0.0 && parsed <= 1.0))
                 return usage(argv[0]);
-            config.dropProbability = std::strtod(value, nullptr);
+            config.dropProbability = parsed;
         } else if (arg == "--quiet-host") {
             config.quietHost = true;
         } else if (arg == "--no-bus-multicast") {
@@ -413,7 +415,8 @@ main(int argc, char **argv)
             flightOut = value;
         } else if (arg == "--flight-interval-ms") {
             const char *value = next();
-            if (!value || !parseIntervalMs(value, flightIntervalMs)) {
+            if (!parseIntFlag(value, 1, maxCount(sim::milliseconds(1)),
+                              flightIntervalMs)) {
                 std::fprintf(stderr,
                              "%s: --flight-interval-ms wants a positive "
                              "integer, got '%s'\n",
