@@ -119,6 +119,28 @@ BM_CacheAccess(benchmark::State &state)
 }
 BENCHMARK(BM_CacheAccess);
 
+/**
+ * Wall cost of simulating one idle host: per simulated millisecond,
+ * one OS housekeeping tick (kernel hot-set re-touch plus the
+ * background stream) on a warm L2. One item is one simulated ms.
+ */
+void
+BM_IdleHostTick(benchmark::State &state)
+{
+    exec::SimExecutor sim;
+    hw::Machine machine(sim, hw::MachineConfig{});
+    machine.os().startBackgroundLoad();
+    sim::SimTime until = sim::milliseconds(100); // warm the L2
+    sim.runUntil(until);
+    for (auto _ : state) {
+        until += sim::milliseconds(1);
+        sim.runUntil(until);
+    }
+    benchmark::DoNotOptimize(machine.l2().totals().misses);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_IdleHostTick);
+
 void
 BM_IlpTivoLayout(benchmark::State &state)
 {

@@ -40,15 +40,39 @@ class CacheModel
 {
   public:
     /**
+     * What a caller of retouch() keeps between calls: the range it
+     * last re-touched and the epoch that pass ended. A
+     * default-constructed stamp makes the next retouch() a full pass.
+     * A stamp belongs to the one cache that filled it.
+     */
+    struct RetouchStamp
+    {
+        Addr addr = 0;
+        std::size_t size = 0;
+        std::uint64_t epoch = 0;
+    };
+
+    /**
      * @param capacity_bytes Total capacity (e.g. 256 kB).
      * @param line_bytes Line size (e.g. 64 B).
      * @param ways Associativity (e.g. 8).
+     * @throws std::invalid_argument unless the line size and the set
+     *         count are powers of two and ways > 0.
      */
     CacheModel(std::size_t capacity_bytes, std::size_t line_bytes,
                std::size_t ways);
 
     /** CPU access to [addr, addr+size); read or write. */
     void access(Addr addr, std::size_t size, bool is_write);
+
+    /**
+     * CPU read of [addr, addr+size) that the caller repeats, e.g. a
+     * kernel hot set touched every tick. Counts and cache state end
+     * exactly as after access(addr, size, false). Sets that nothing
+     * changed since this stamp's previous re-touch of the same range
+     * are counted as hits without being walked.
+     */
+    void retouch(Addr addr, std::size_t size, RetouchStamp &stamp);
 
     /** Device DMA overwrote host memory: invalidate covered lines. */
     void snoopInvalidate(Addr addr, std::size_t size);
@@ -65,8 +89,8 @@ class CacheModel
     /** Drop all cached lines (e.g. between benchmark scenarios). */
     void flush();
 
-    std::size_t lineBytes() const { return lineBytes_; }
-    std::size_t numSets() const { return sets_.size(); }
+    std::size_t lineBytes() const { return std::size_t{1} << lineShift_; }
+    std::size_t numSets() const { return setStamp_.size(); }
 
   private:
     struct Line
@@ -76,16 +100,28 @@ class CacheModel
         std::uint64_t lastUse = 0;
     };
 
-    struct Set
+    /** Line indices [first, first + count) covered by a byte range. */
+    struct LineRange
     {
-        std::vector<Line> ways;
+        Addr first = 0;
+        Addr count = 0;
     };
 
-    /** Touch one line; returns true on miss. */
-    bool touchLine(Addr line_addr, bool is_write);
+    LineRange linesOf(Addr addr, std::size_t size) const;
+    Line *setOf(Addr line);
 
-    std::size_t lineBytes_;
-    std::vector<Set> sets_;
+    /** Touch one line (by line index); returns true on miss. */
+    bool touchLine(Addr line);
+
+    unsigned lineShift_ = 0;
+    Addr setMask_ = 0;
+    std::size_t ways_ = 0;
+    /** numSets x ways, set-major. */
+    std::vector<Line> lines_;
+    /** Per set: the epoch_ in force when its state last changed. */
+    std::vector<std::uint64_t> setStamp_;
+    /** Bumped at the end of every retouch(). */
+    std::uint64_t epoch_ = 0;
     std::uint64_t useClock_ = 0;
     CacheStats totals_;
     CacheStats windowBase_;

@@ -119,7 +119,7 @@ OsKernel::housekeepingTick()
     // Cache behaviour: hot kernel set (mostly hits) plus a slowly
     // advancing stream (all misses) to give the idle system a stable
     // non-zero baseline miss rate.
-    l2_.access(hotSet_, config_.hotSetBytes, false);
+    l2_.retouch(hotSet_, config_.hotSetBytes, hotSetStamp_);
     l2_.access(backgroundStream_ + streamOffset_,
                config_.backgroundStreamPerTick, false);
     streamOffset_ += config_.backgroundStreamPerTick;

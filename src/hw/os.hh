@@ -149,6 +149,7 @@ class OsKernel
      * concurrently with the coordinator's kernel paths. */
     std::atomic<Addr> nextAddr_{0x1000'0000};
     Addr hotSet_ = 0;
+    CacheModel::RetouchStamp hotSetStamp_;
     Addr backgroundStream_ = 0;
     std::size_t streamOffset_ = 0;
     bool backgroundRunning_ = false;

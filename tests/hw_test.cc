@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "common/stats.hh"
 #include "hw/bus.hh"
 #include "hw/cache.hh"
@@ -97,6 +99,14 @@ TEST(CacheTest, WindowStatsResetIndependently)
     cache.access(64, 64, false);
     EXPECT_EQ(cache.windowStats().accesses, 1u);
     EXPECT_EQ(cache.totals().accesses, 2u);
+}
+
+TEST(CacheTest, GeometryMustBePowerOfTwo)
+{
+    EXPECT_THROW(CacheModel(3 * 64 * 2, 64, 2), std::invalid_argument);
+    EXPECT_THROW(CacheModel(4 * 48 * 2, 48, 2), std::invalid_argument);
+    EXPECT_THROW(CacheModel(4096, 64, 0), std::invalid_argument);
+    EXPECT_NO_THROW(CacheModel(3 * 64 * 4, 64, 3)); // 4 sets x 3 ways
 }
 
 TEST(CacheTest, FlushDropsEverything)

@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <list>
 #include <map>
+#include <tuple>
+#include <utility>
 
 #include "common/rng.hh"
 #include "core/call.hh"
@@ -273,6 +276,37 @@ class ReferenceCache
         return true; // miss
     }
 
+    /** Every line of [addr, addr+size) in address order, into totals. */
+    void
+    accessRange(hw::Addr addr, std::size_t size)
+    {
+        for (hw::Addr a = addr / line_ * line_; a < addr + size;
+             a += line_) {
+            ++totals.accesses;
+            if (access(a))
+                ++totals.misses;
+        }
+    }
+
+    void
+    invalidate(hw::Addr addr, std::size_t size)
+    {
+        for (hw::Addr a = addr / line_ * line_; a < addr + size;
+             a += line_) {
+            const std::uint64_t tag = a / line_;
+            table_[tag % sets_].remove(tag);
+        }
+    }
+
+    void
+    flush()
+    {
+        for (auto &set : table_)
+            set.clear();
+    }
+
+    hw::CacheStats totals;
+
   private:
     std::size_t line_, ways_, sets_;
     std::vector<std::list<std::uint64_t>> table_;
@@ -308,6 +342,99 @@ TEST_P(CachePropertyTest, MatchesReferenceOnRandomTraces)
 
 INSTANTIATE_TEST_SUITE_P(Traces, CachePropertyTest,
                          ::testing::Range<std::uint64_t>(1, 16));
+
+struct CacheGeometry
+{
+    std::size_t capacity, line, ways;
+};
+
+void
+PrintTo(const CacheGeometry &g, std::ostream *os)
+{
+    *os << g.capacity << "/" << g.line << "/" << g.ways;
+}
+
+class CacheRetouchTest : public ::testing::TestWithParam<CacheGeometry>
+{
+};
+
+// retouch() skips sets it proves unchanged; the reference walks every
+// line. Mix it with multi-line accesses, DMA snoops and flushes that
+// dirty some sets between passes, and compare after every call.
+TEST_P(CacheRetouchTest, RetouchMatchesReferenceUnderMixedTraffic)
+{
+    const CacheGeometry g = GetParam();
+    const std::size_t capacityLines = g.capacity / g.line;
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        Rng rng(seed * 7919);
+        hw::CacheModel cache(g.capacity, g.line, g.ways);
+        ReferenceCache reference(g.capacity, g.line, g.ways);
+        hw::CacheModel::RetouchStamp stamp;
+
+        // Addresses span four cache capacities so fills conflict.
+        const auto randomAddr = [&] {
+            return static_cast<hw::Addr>(rng.uniformInt(
+                       0, static_cast<std::int64_t>(4 * g.capacity) - 1));
+        };
+        const auto randomSize = [&] {
+            return static_cast<std::size_t>(rng.uniformInt(
+                1, static_cast<std::int64_t>(3 * g.line)));
+        };
+        // A range over half the cache, unaligned at both ends, and
+        // sometimes one with more lines per set than ways.
+        const auto randomRange = [&] {
+            const std::size_t lines =
+                rng.chance(0.2) ? capacityLines + 1 + capacityLines / 2
+                                : std::max<std::size_t>(1, capacityLines / 2);
+            return std::pair{randomAddr(),
+                             lines * g.line - g.line / 2};
+        };
+        auto [rangeAddr, rangeSize] = randomRange();
+
+        for (int op = 0; op < 2000; ++op) {
+            const auto pick = rng.uniformInt(0, 99);
+            if (pick < 40) {
+                const hw::Addr addr = randomAddr();
+                const std::size_t size = randomSize();
+                reference.accessRange(addr, size);
+                cache.access(addr, size, rng.chance(0.5));
+            } else if (pick < 75) {
+                if (rng.chance(0.05))
+                    std::tie(rangeAddr, rangeSize) = randomRange();
+                reference.accessRange(rangeAddr, rangeSize);
+                cache.retouch(rangeAddr, rangeSize, stamp);
+            } else if (pick < 98) {
+                // Snoops land inside the range half the time.
+                const hw::Addr addr =
+                    rng.chance(0.5)
+                        ? rangeAddr + static_cast<hw::Addr>(rng.uniformInt(
+                                          0, static_cast<std::int64_t>(
+                                                 rangeSize - 1)))
+                        : randomAddr();
+                const std::size_t size = randomSize();
+                reference.invalidate(addr, size);
+                cache.snoopInvalidate(addr, size);
+            } else {
+                reference.flush();
+                cache.flush();
+            }
+            ASSERT_EQ(cache.totals().misses, reference.totals.misses)
+                << "seed " << seed << " op " << op;
+            ASSERT_EQ(cache.totals().accesses, reference.totals.accesses)
+                << "seed " << seed << " op " << op;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, CacheRetouchTest,
+    ::testing::Values(CacheGeometry{128, 64, 2}, CacheGeometry{8192, 64, 4},
+                      CacheGeometry{256 * 1024, 64, 8}),
+    [](const ::testing::TestParamInfo<CacheGeometry> &info) {
+        return std::to_string(info.param.capacity) + "_" +
+               std::to_string(info.param.line) + "_" +
+               std::to_string(info.param.ways);
+    });
 
 } // namespace
 } // namespace hydra
