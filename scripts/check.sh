@@ -64,8 +64,9 @@ if [ "$BENCH_SMOKE" -eq 1 ]; then
     # plus the sim-engine pipeline rows (the deterministic executor's
     # per-hop dispatch cost; the threaded rows are excluded — real
     # threads on a shared box are too noisy for a regression gate)
-    # and the idle-host housekeeping tick (the L2 re-touch that sets
-    # the wall cost of every paper run) against the committed
+    # the idle-host housekeeping tick (the L2 re-touch that sets
+    # the wall cost of every paper run) and the event kernel's raw
+    # dispatch rate (BM_SimulatorDispatch) against the committed
     # baseline. Generous 2x threshold -- this catches "the fast path
     # regressed to deep copies" or to a full hot-set walk per tick,
     # not machine-to-machine noise.
@@ -78,7 +79,7 @@ if [ "$BENCH_SMOKE" -eq 1 ]; then
     # Note: the bundled google-benchmark wants a bare double here (no
     # trailing time unit).
     "$BUILD_DIR/bench/perf_micro" \
-        --benchmark_filter='BM_HistogramRecord|BM_ChannelThroughput|BM_ChannelBatchThroughput|BM_ChannelLowLoad|BM_MulticastFanout|BM_FleetOpenLoop|BM_IdleHostTick|BM_PipelineParallel.*threaded:0|BM_BatchedPipeline.*threaded:0' \
+        --benchmark_filter='BM_SimulatorDispatch|BM_HistogramRecord|BM_ChannelThroughput|BM_ChannelBatchThroughput|BM_ChannelLowLoad|BM_MulticastFanout|BM_FleetOpenLoop|BM_IdleHostTick|BM_PipelineParallel.*threaded:0|BM_BatchedPipeline.*threaded:0' \
         --benchmark_min_time=0.1 \
         --benchmark_format=json > "$OUT"
     echo "bench JSON written to $OUT"

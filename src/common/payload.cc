@@ -18,12 +18,22 @@ namespace {
 constexpr std::size_t kMaxFreeNodes = 256;
 constexpr std::size_t kMaxPooledCapacity = 512 * 1024;
 
+/**
+ * The payload.* series. The pool already counts under its lock
+ * (PayloadPoolStats); a registry read publishes those counts, so a
+ * buffer's trip through the pool costs no extra atomic RMW. Resolved
+ * at the first pool operation, as when every operation bumped them.
+ */
 struct PayloadMetrics
 {
+    PayloadMetrics();
+
     obs::Counter &allocations = obs::counter("payload.allocations");
     obs::Counter &poolHits = obs::counter("payload.pool_hits");
     obs::Counter &recycles = obs::counter("payload.recycles");
     obs::Counter &deepCopies = obs::counter("payload.deep_copies");
+    /** Pool counts already added to the series (pool lock held). */
+    PayloadPoolStats published;
 };
 
 PayloadMetrics &
@@ -55,6 +65,24 @@ pool()
     return instance;
 }
 
+void
+publishPoolStats()
+{
+    Pool &p = pool();
+    PayloadMetrics &m = payloadMetrics();
+    std::lock_guard<std::mutex> lock(p.mutex);
+    m.allocations.add(p.stats.allocations - m.published.allocations);
+    m.poolHits.add(p.stats.poolHits - m.published.poolHits);
+    m.recycles.add(p.stats.recycles - m.published.recycles);
+    m.deepCopies.add(p.stats.deepCopies - m.published.deepCopies);
+    m.published = p.stats;
+}
+
+PayloadMetrics::PayloadMetrics()
+{
+    obs::MetricsRegistry::instance().addCollector(publishPoolStats);
+}
+
 } // namespace
 
 namespace detail {
@@ -62,6 +90,7 @@ namespace detail {
 PayloadNode *
 payloadAcquire()
 {
+    payloadMetrics(); // outside the pool lock: it may add the collector
     Pool &p = pool();
     std::lock_guard<std::mutex> lock(p.mutex);
     if (p.freeList) {
@@ -71,11 +100,9 @@ payloadAcquire()
         node->nextFree = nullptr;
         node->storage.clear(); // keeps capacity
         ++p.stats.poolHits;
-        payloadMetrics().poolHits.increment();
         return node;
     }
     ++p.stats.allocations;
-    payloadMetrics().allocations.increment();
     return new PayloadNode();
 }
 
@@ -84,6 +111,7 @@ payloadAdopt(Bytes &&bytes)
 {
     // The incoming vector brings its own buffer; taking a pooled node
     // would waste the pooled capacity, so allocate the wrapper only.
+    payloadMetrics();
     Pool &p = pool();
     std::lock_guard<std::mutex> lock(p.mutex);
     PayloadNode *node;
@@ -93,10 +121,8 @@ payloadAdopt(Bytes &&bytes)
         --p.freeNodes;
         node->nextFree = nullptr;
         ++p.stats.poolHits;
-        payloadMetrics().poolHits.increment();
     } else {
         ++p.stats.allocations;
-        payloadMetrics().allocations.increment();
         node = new PayloadNode();
     }
     node->storage = std::move(bytes);
@@ -115,7 +141,6 @@ payloadRelease(PayloadNode *node)
             p.freeList = node;
             ++p.freeNodes;
             ++p.stats.recycles;
-            payloadMetrics().recycles.increment();
             return;
         }
     }
@@ -125,12 +150,10 @@ payloadRelease(PayloadNode *node)
 void
 payloadCountDeepCopy()
 {
+    payloadMetrics();
     Pool &p = pool();
-    {
-        std::lock_guard<std::mutex> lock(p.mutex);
-        ++p.stats.deepCopies;
-    }
-    payloadMetrics().deepCopies.increment();
+    std::lock_guard<std::mutex> lock(p.mutex);
+    ++p.stats.deepCopies;
 }
 
 } // namespace detail

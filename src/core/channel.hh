@@ -121,8 +121,9 @@ class Channel
     /** Executive-assigned id; kInvalidChannel until owned by a shard. */
     ChannelId id() const { return id_; }
 
-    /** Called once by the owning executive shard at registration. */
-    void bindId(ChannelId id) { id_ = id; }
+    /** Called once by the owning executive shard at registration;
+     * transports that route by id hook it. */
+    virtual void bindId(ChannelId id) { id_ = id; }
 
     /** Creator-side write (endpoint 0), as in the paper's examples. */
     Status write(Payload message)

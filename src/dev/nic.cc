@@ -33,7 +33,7 @@ ProgrammableNic::ProgrammableNic(exec::Executor &executor,
                                  net::NodeId node, DeviceConfig config,
                                  NicCosts costs)
     : Device(executor, host_bus, std::move(config), nicClassSpec()),
-      net_(network), node_(node), costs_(costs)
+      net_(network), node_(node), costs_(costs), mutex_(executor)
 {
     addCapability("mac-ethernet");
     addCapability("dma");
@@ -42,7 +42,7 @@ ProgrammableNic::ProgrammableNic(exec::Executor &executor,
 
 ProgrammableNic::~ProgrammableNic()
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<exec::EngineMutex> lock(mutex_);
     for (net::Port port : netBound_)
         net_.unbind(node_, port);
 }
@@ -52,7 +52,7 @@ ProgrammableNic::bindPort(net::Port port, PortBinding binding)
 {
     bool needWireBind = false;
     {
-        std::lock_guard<std::mutex> lock(mutex_);
+        std::lock_guard<exec::EngineMutex> lock(mutex_);
         if (bindings_.count(port))
             return Status(ErrorCode::AlreadyExists, "port already bound");
         needWireBind = netBound_.count(port) == 0;
@@ -65,7 +65,7 @@ ProgrammableNic::bindPort(net::Port port, PortBinding binding)
         if (!bound)
             return bound;
     }
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<exec::EngineMutex> lock(mutex_);
     netBound_.insert(port);
     // A fresh bind supersedes any unbind deferred across a reset: the
     // restarted owner took the port back.
@@ -100,7 +100,7 @@ void
 ProgrammableNic::unbindPort(net::Port port)
 {
     {
-        std::lock_guard<std::mutex> lock(mutex_);
+        std::lock_guard<exec::EngineMutex> lock(mutex_);
         bindings_.erase(port);
         if (resetting()) {
             // The caller is an Offcode dying with the firmware. Keep
@@ -119,7 +119,7 @@ ProgrammableNic::unbindPort(net::Port port)
 std::size_t
 ProgrammableNic::pendingRx() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<exec::EngineMutex> lock(mutex_);
     return pendingRx_.size();
 }
 
@@ -139,7 +139,7 @@ ProgrammableNic::onResetComplete()
     std::vector<net::Port> release;
     std::deque<net::Packet> replay;
     {
-        std::lock_guard<std::mutex> lock(mutex_);
+        std::lock_guard<exec::EngineMutex> lock(mutex_);
         for (net::Port port : deferredUnbind_) {
             if (bindings_.count(port))
                 continue;
@@ -169,7 +169,7 @@ ProgrammableNic::onReceive(const net::Packet &packet)
     // (handlers may bind/unbind ports or send).
     PortBinding binding;
     {
-        std::lock_guard<std::mutex> lock(mutex_);
+        std::lock_guard<exec::EngineMutex> lock(mutex_);
         if (resetting()) {
             // Firmware is down: hold the packet. The queue is bounded
             // the way a real rx ring is; past that, packets drop and
@@ -201,18 +201,32 @@ ProgrammableNic::onReceive(const net::Packet &packet)
     // Host path: DMA payload to host memory, then interrupt.
     ++toHost_;
     const std::size_t bytes = packet.payload.size();
-    hw::OsKernel *os = binding.os;
-    const hw::Addr buffer = binding.hostBuffer;
-    auto handler = binding.handler;
-    dma().start(bytes, [this, os, buffer, bytes, handler,
-                        pkt = packet]() mutable {
+    const std::uint32_t slot =
+        stage(Staged{packet, {}, std::move(binding)});
+    dma().start(bytes, [this, slot]() {
+        Staged rx = unstage(slot);
         // DMA completion runs from the scheduler; restore the
         // packet's causal context for the host-side handler.
-        obs::ContextScope scope(pkt.traceCtx);
-        os->dmaDelivered(buffer, bytes);
-        os->handleInterrupt();
-        handler(pkt);
+        obs::ContextScope scope(rx.packet.traceCtx);
+        rx.binding.os->dmaDelivered(rx.binding.hostBuffer,
+                                    rx.packet.payload.size());
+        rx.binding.os->handleInterrupt();
+        rx.binding.handler(rx.packet);
     });
+}
+
+std::uint32_t
+ProgrammableNic::stage(Staged staged)
+{
+    std::lock_guard<exec::EngineMutex> lock(mutex_);
+    return staged_.put(std::move(staged));
+}
+
+ProgrammableNic::Staged
+ProgrammableNic::unstage(std::uint32_t slot)
+{
+    std::lock_guard<exec::EngineMutex> lock(mutex_);
+    return staged_.take(slot);
 }
 
 Status
@@ -235,11 +249,13 @@ ProgrammableNic::sendFromHost(net::Packet packet, hw::Addr host_buffer)
     // One bus crossing host -> device, then firmware tx processing,
     // then the wire. Carry the sender's causal context across the
     // asynchronous DMA hop.
-    const obs::SpanContext ctx = obs::activeContext();
-    dma().start(bytes, [this, ctx, pkt = std::move(packet)]() mutable {
-        obs::ContextScope scope(ctx);
+    const std::uint32_t slot =
+        stage(Staged{std::move(packet), obs::activeContext(), {}});
+    dma().start(bytes, [this, slot]() {
+        Staged tx = unstage(slot);
+        obs::ContextScope scope(tx.ctx);
         runFirmware(costs_.txFirmwareCycles);
-        Status sent = net_.send(std::move(pkt));
+        Status sent = net_.send(std::move(tx.packet));
         if (!sent) {
             LOG_DEBUG << "nic tx failed: " << sent.error().describe();
         }

@@ -22,6 +22,7 @@
 #include <set>
 #include <vector>
 
+#include "common/slab.hh"
 #include "dev/device.hh"
 #include "hw/os.hh"
 #include "net/network.hh"
@@ -114,7 +115,21 @@ class ProgrammableNic : public Device
         net::PacketHandler handler;
     };
 
+    /**
+     * A packet parked across a DMA: toward the wire (tx, with the
+     * sender's causal context) or toward a host-path handler (rx,
+     * with its binding). The DMA completion captures only the slot.
+     */
+    struct Staged
+    {
+        net::Packet packet;
+        obs::SpanContext ctx;
+        PortBinding binding;
+    };
+
     void onReceive(const net::Packet &packet);
+    std::uint32_t stage(Staged staged);
+    Staged unstage(std::uint32_t slot);
 
     net::Network &net_;
     net::NodeId node_;
@@ -129,7 +144,7 @@ class ProgrammableNic : public Device
 
     static constexpr std::size_t kPendingRxMax = 16384;
 
-    mutable std::mutex mutex_;
+    mutable exec::EngineMutex mutex_;
     std::map<net::Port, PortBinding> bindings_;
     /** Ports with a live wire-level bind on the fabric node. */
     std::set<net::Port> netBound_;
@@ -137,6 +152,8 @@ class ProgrammableNic : public Device
     std::set<net::Port> deferredUnbind_;
     /** Packets that arrived while the firmware was down. */
     std::deque<net::Packet> pendingRx_;
+    /** Packets waiting on a DMA, by slot. */
+    Slab<Staged> staged_;
     std::atomic<std::uint64_t> toHost_{0};
     std::atomic<std::uint64_t> toDevice_{0};
     std::atomic<std::uint64_t> sent_{0};

@@ -4,22 +4,19 @@
  *
  * Every model in the substrate — hardware, OS, devices, network,
  * channels, the TiVo pipeline — advances by scheduling callbacks on
- * an Executor. The interface deliberately mirrors the discrete-event
- * simulator it was extracted from (now/schedule/cancel/run), plus
- * one new primitive the simulator never needed: post(site, fn),
- * site-affine immediate execution, the hook that lets an engine run
- * device sites on real threads.
+ * an Executor: a discrete-event clock (now/schedule/cancel/run), plus
+ * post(site, fn), site-affine immediate execution, the hook that lets
+ * an engine run device sites on real threads.
  *
  * Two engines implement it:
- *  - SimExecutor: wraps sim::Simulator bit-for-bit. Deterministic;
+ *  - SimExecutor: the discrete-event kernel itself. Deterministic;
  *    the default. post() degrades to a zero-delay event, so ordering
  *    stays globally serial.
  *  - ThreadedExecutor: thread-per-device-site with mutex-free SPSC
  *    handoff between sites. Virtual time still advances on the
  *    coordinator, but posted work runs concurrently.
  *
- * No file outside src/exec/ and src/sim/ may include
- * sim/simulator.hh; consumers depend on this interface only.
+ * Models depend on this interface only.
  */
 
 #ifndef HYDRA_EXEC_EXECUTOR_HH
@@ -181,11 +178,58 @@ class Executor
     /** Timer events currently pending. */
     virtual std::size_t pendingEvents() const = 0;
 
+    /**
+     * Whether model code may run on several threads at once. False
+     * for an engine that runs every callback and every call into its
+     * models on one thread; components tied to such an engine skip
+     * their locks (EngineLock).
+     */
+    virtual bool concurrent() const { return true; }
+
   private:
     /** Site -> owning host, filled by the two-argument addSite(). */
     mutable std::mutex siteHostMutex_;
     std::unordered_map<SiteId, std::string> siteHosts_;
 };
+
+/**
+ * A lock for state owned by one engine's models (a NIC's port table,
+ * a bus's arbiter, the fabric's link state). It locks only when the
+ * engine is concurrent: on the single-threaded deterministic engine
+ * there is nobody to exclude, and the uncontended lock and unlock are
+ * two atomic RMWs per critical section on the per-message path.
+ * BasicLockable, so std::lock_guard works with it.
+ */
+template <typename Mutex>
+class EngineLock
+{
+  public:
+    explicit EngineLock(const Executor &executor)
+        : enabled_(executor.concurrent())
+    {
+    }
+
+    void
+    lock()
+    {
+        if (enabled_)
+            mutex_.lock();
+    }
+
+    void
+    unlock()
+    {
+        if (enabled_)
+            mutex_.unlock();
+    }
+
+  private:
+    Mutex mutex_;
+    const bool enabled_;
+};
+
+using EngineMutex = EngineLock<std::mutex>;
+using EngineRecursiveMutex = EngineLock<std::recursive_mutex>;
 
 /** Which engine to construct (CLI: --executor=sim|threaded). */
 enum class ExecutorKind { Sim, Threaded };

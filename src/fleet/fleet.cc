@@ -1,6 +1,8 @@
 #include "fleet/fleet.hh"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <mutex>
 
 #include "common/bytes.hh"
@@ -26,6 +28,9 @@ struct RemoteCosts
 };
 
 constexpr RemoteCosts kCosts{};
+
+static_assert(std::endian::native == std::endian::little,
+              "the wire header is encoded as a little-endian struct");
 
 /** Per-transport instruments, mirroring providers.cc's locals. */
 struct RemoteMetrics
@@ -58,6 +63,19 @@ remoteMetrics()
     return metrics;
 }
 
+/**
+ * Count a frame dropped undelivered: shorter than the header, or
+ * naming an endpoint absent from (or not on) the receiving host. The
+ * series registers at the first such frame, so a clean run's metrics
+ * list it not at all.
+ */
+void
+countMalformedFrame()
+{
+    static obs::Counter &malformed = obs::counter("fleet.malformed_frames");
+    malformed.increment();
+}
+
 } // namespace
 
 /**
@@ -80,7 +98,8 @@ class RemoteChannel : public core::Channel
           wireLimit_(fleet.config().network.maxPayload > kWireHeaderBytes
                          ? fleet.config().network.maxPayload -
                                kWireHeaderBytes
-                         : 0)
+                         : 0),
+          mutex_(home.machine().executor())
     {
     }
 
@@ -95,7 +114,7 @@ class RemoteChannel : public core::Channel
     Status
     writeFrom(std::size_t from, Payload message) override
     {
-        std::lock_guard<std::recursive_mutex> lock(mutex_);
+        std::lock_guard<exec::EngineRecursiveMutex> lock(mutex_);
         if (closed_)
             return Status(ErrorCode::ChannelClosed, "channel closed");
         if (from >= endpoints_.size())
@@ -103,14 +122,12 @@ class RemoteChannel : public core::Channel
         if (endpoints_.size() < 2)
             return Status(ErrorCode::ChannelNotConnected,
                           "no peer endpoint");
+        // Refused before it counts as sent, like the local and ring
+        // transports: the ledger (sent == delivered + dropped) holds.
         if (message.size() > config_.maxMessageBytes ||
-            message.size() > wireLimit_) {
-            remoteMetrics().dropped.increment();
+            message.size() > wireLimit_)
             return Status(ErrorCode::MessageTooLarge,
                           "message exceeds wire frame limit");
-        }
-
-        ensureRoutes();
 
         ++stats_.messagesSent;
         stats_.bytesSent += message.size();
@@ -133,6 +150,15 @@ class RemoteChannel : public core::Channel
         return Status::success();
     }
 
+    /** The executive assigned our id: route it on every endpoint's
+     * host (the creator attached before the id existed). */
+    void
+    bindId(core::ChannelId id) override
+    {
+        Channel::bindId(id);
+        registerRoutes();
+    }
+
   protected:
     Result<std::size_t>
     addEndpoint(core::ExecutionSite &site) override
@@ -143,7 +169,7 @@ class RemoteChannel : public core::Channel
                          "site's machine is not a fleet member");
         std::size_t index = 0;
         {
-            std::lock_guard<std::recursive_mutex> lock(mutex_);
+            std::lock_guard<exec::EngineRecursiveMutex> lock(mutex_);
             auto added = Channel::addEndpoint(site);
             if (!added)
                 return added;
@@ -153,16 +179,21 @@ class RemoteChannel : public core::Channel
             if (site.isHost())
                 wire.txBuffer = owner->machine().os().allocRegion(
                     config_.maxMessageBytes + kWireHeaderBytes);
-            wires_.push_back(std::move(wire));
-            for (Wire &w : wires_) {
-                w.txSeq.resize(wires_.size(), 0);
-                w.rxSeen.resize(wires_.size(), 0);
-            }
+            wires_.push_back(wire);
+            // Re-lay the pair counters for one more endpoint.
+            const std::size_t n = wires_.size();
+            std::vector<std::uint64_t> seqs(2 * n * n, 0);
+            for (std::size_t f = 0; f + 1 < n; ++f)
+                for (std::size_t t = 0; t + 1 < n; ++t)
+                    for (std::size_t k = 0; k < 2; ++k)
+                        seqs[pairIndex(f, t, n) + k] =
+                            seqs_[pairIndex(f, t, n - 1) + k];
+            seqs_ = std::move(seqs);
         }
         // Outside the channel lock: route registration takes the
         // host's fabric lock, which delivery holds while calling back
         // into the channel — never nest the two in reverse order.
-        ensureRoutes();
+        registerRoutes();
         return index;
     }
 
@@ -175,26 +206,32 @@ class RemoteChannel : public core::Channel
         Host *host = nullptr;
         /** Host-side tx staging region (0 for device endpoints). */
         hw::Addr txBuffer = 0;
-        /** txSeq[to]: next sequence this endpoint sends to `to`. */
-        std::vector<std::uint64_t> txSeq;
-        /** rxSeen[from]: frames received here from `from`. */
-        std::vector<std::uint64_t> rxSeen;
     };
 
     /**
-     * Register this channel's id on every endpoint host's fabric.
-     * Lazy because the creator endpoint attaches before the executive
-     * binds the id; by the time a remote endpoint attaches (or the
-     * first write happens) the id is final.
+     * Index of the (from, to) pair in seqs_ for @p n endpoints. The
+     * pair's two counters share a cache line: the next sequence `from`
+     * sends to `to`, then the frames `to` has received from `from`.
+     */
+    static std::size_t
+    pairIndex(std::size_t from, std::size_t to, std::size_t n)
+    {
+        return 2 * (from * n + to);
+    }
+
+    /**
+     * Register this channel's id on every endpoint host's fabric not
+     * yet carrying it. Runs when the id binds and when an endpoint
+     * attaches, never per write; before the id binds it is a no-op.
      */
     void
-    ensureRoutes()
+    registerRoutes()
     {
         if (id() == core::kInvalidChannel)
             return;
         std::vector<Host *> owners;
         {
-            std::lock_guard<std::recursive_mutex> lock(mutex_);
+            std::lock_guard<exec::EngineRecursiveMutex> lock(mutex_);
             for (const Wire &wire : wires_)
                 if (std::find(routedHosts_.begin(), routedHosts_.end(),
                               wire.host) == routedHosts_.end()) {
@@ -238,17 +275,18 @@ class RemoteChannel : public core::Channel
                 sim::SimTime sentAt)
     {
         Wire &src = wires_[from];
-        const std::uint64_t seq = src.txSeq[to]++;
+        const std::uint64_t seq = seqs_[pairIndex(from, to, wires_.size())]++;
 
+        const WireHeader header{id(), static_cast<std::uint32_t>(from),
+                                static_cast<std::uint32_t>(to), seq,
+                                static_cast<std::uint64_t>(sentAt)};
         PayloadBuilder builder;
-        ByteWriter writer(builder.buffer());
-        writer.writeU64(id());
-        writer.writeU32(static_cast<std::uint32_t>(from));
-        writer.writeU32(static_cast<std::uint32_t>(to));
-        writer.writeU64(seq);
-        writer.writeU64(static_cast<std::uint64_t>(sentAt));
-        builder.buffer().insert(builder.buffer().end(), message.begin(),
-                                message.end());
+        Bytes &frame = builder.buffer();
+        frame.resize(kWireHeaderBytes + message.size());
+        std::memcpy(frame.data(), &header, kWireHeaderBytes);
+        if (!message.empty())
+            std::memcpy(frame.data() + kWireHeaderBytes, message.data(),
+                        message.size());
         remoteMetrics().wireCopies.increment();
 
         net::Packet packet;
@@ -279,35 +317,46 @@ class RemoteChannel : public core::Channel
     deliverLocal(std::size_t to, std::size_t from, const Payload &message,
                  sim::SimTime sentAt)
     {
-        std::lock_guard<std::recursive_mutex> lock(mutex_);
+        std::lock_guard<exec::EngineRecursiveMutex> lock(mutex_);
         if (closed_ || to >= endpoints_.size())
             return;
         deliverTo(to, message, from, sentAt);
     }
 
-    /** Inbound frame from the owning host's fabric table (called with
-     * that host's fabric lock held — see Host::onFabric). */
+    /** Inbound frame from @p host's fabric table (called with that
+     * host's fabric lock held — see Host::onFabric). A frame naming
+     * an endpoint that does not exist or does not live on @p host is
+     * dropped as malformed, never delivered elsewhere. */
     void
-    deliverWire(std::size_t to, std::size_t from, std::uint64_t seq,
-                sim::SimTime sentAt, const Payload &body)
+    deliverWire(const Host &host, const WireHeader &header,
+                const Payload &body)
     {
-        std::lock_guard<std::recursive_mutex> lock(mutex_);
-        if (closed_ || to >= endpoints_.size() || from >= endpoints_.size())
+        std::lock_guard<exec::EngineRecursiveMutex> lock(mutex_);
+        if (closed_)
             return;
-        Wire &dst = wires_[to];
-        if (seq != dst.rxSeen[from])
+        const std::size_t to = header.to;
+        const std::size_t from = header.from;
+        if (to >= endpoints_.size() || from >= endpoints_.size() ||
+            to == from || wires_[to].host != &host) {
+            countMalformedFrame();
+            return;
+        }
+        std::uint64_t &seen = seqs_[pairIndex(from, to, wires_.size()) + 1];
+        if (header.seq != seen)
             remoteMetrics().seqGaps.increment();
-        dst.rxSeen[from] = seq + 1;
+        seen = header.seq + 1;
         if (endpoints_[to].site)
             endpoints_[to].site->run(kCosts.rxDescriptorCycles);
-        deliverTo(to, body, from, sentAt);
+        deliverTo(to, body, from, static_cast<sim::SimTime>(header.sentAt));
     }
 
     Fleet &fleet_;
     Host &home_;
     std::size_t wireLimit_;
-    std::recursive_mutex mutex_;
+    exec::EngineRecursiveMutex mutex_;
     std::vector<Wire> wires_;
+    /** Per-(from, to) sequence counters, laid out by pairIndex(). */
+    std::vector<std::uint64_t> seqs_;
     /** Hosts whose fabric tables carry our id (dtor unregisters). */
     std::vector<Host *> routedHosts_;
 };
@@ -380,10 +429,87 @@ class RemoteChannelProvider : public core::ChannelProvider
 
 } // namespace
 
+RemoteChannel *
+RouteTable::find(core::ChannelId id) const
+{
+    if (slots_.empty() || id == core::kInvalidChannel)
+        return nullptr;
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = home(id);; i = (i + 1) & mask) {
+        if (slots_[i].id == id)
+            return slots_[i].channel;
+        if (slots_[i].id == core::kInvalidChannel)
+            return nullptr;
+    }
+}
+
+void
+RouteTable::insert(core::ChannelId id, RemoteChannel *channel)
+{
+    if (id == core::kInvalidChannel)
+        return;
+    if ((used_ + 1) * 2 > slots_.size())
+        grow(); // load factor <= 1/2 keeps probe runs short
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = home(id);; i = (i + 1) & mask) {
+        if (slots_[i].id == id) {
+            slots_[i].channel = channel;
+            return;
+        }
+        if (slots_[i].id == core::kInvalidChannel) {
+            slots_[i] = Slot{id, channel};
+            ++used_;
+            return;
+        }
+    }
+}
+
+void
+RouteTable::erase(core::ChannelId id)
+{
+    if (slots_.empty() || id == core::kInvalidChannel)
+        return;
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t hole = home(id);
+    while (slots_[hole].id != id) {
+        if (slots_[hole].id == core::kInvalidChannel)
+            return; // absent
+        hole = (hole + 1) & mask;
+    }
+    // Backward shift: pull later entries of the probe run into the
+    // hole unless that would move them before their home slot.
+    for (std::size_t next = (hole + 1) & mask;
+         slots_[next].id != core::kInvalidChannel;
+         next = (next + 1) & mask) {
+        const std::size_t want = home(slots_[next].id);
+        const bool movable = hole <= next ? (want <= hole || want > next)
+                                          : (want <= hole && want > next);
+        if (movable) {
+            slots_[hole] = slots_[next];
+            hole = next;
+        }
+    }
+    slots_[hole] = Slot{};
+    --used_;
+}
+
+void
+RouteTable::grow()
+{
+    std::vector<Slot> old = std::move(slots_);
+    const std::size_t capacity = old.empty() ? 16 : old.size() * 2;
+    slots_.assign(capacity, Slot{});
+    shift_ = 64 - static_cast<unsigned>(std::countr_zero(capacity));
+    used_ = 0;
+    for (const Slot &slot : old)
+        if (slot.id != core::kInvalidChannel)
+            insert(slot.id, slot.channel);
+}
+
 Host::Host(exec::Executor &executor, net::Network &network,
            const FleetConfig &config, std::size_t index)
     : exec_(executor), index_(index),
-      name_("host" + std::to_string(index))
+      name_("host" + std::to_string(index)), fabricMutex_(executor)
 {
     hw::MachineConfig machineConfig = config.machine;
     machineConfig.name = name_;
@@ -434,54 +560,50 @@ Host::~Host()
 std::uint64_t
 Host::orphanFrames() const
 {
-    std::lock_guard<std::mutex> lock(fabricMutex_);
+    std::lock_guard<exec::EngineMutex> lock(fabricMutex_);
     return orphans_;
 }
 
 void
 Host::addRoute(core::ChannelId id, RemoteChannel *channel)
 {
-    std::lock_guard<std::mutex> lock(fabricMutex_);
-    routes_[id] = channel;
+    std::lock_guard<exec::EngineMutex> lock(fabricMutex_);
+    routes_.insert(id, channel);
 }
 
 void
 Host::removeRoute(core::ChannelId id)
 {
-    std::lock_guard<std::mutex> lock(fabricMutex_);
+    std::lock_guard<exec::EngineMutex> lock(fabricMutex_);
     routes_.erase(id);
 }
 
 void
 Host::onFabric(const net::Packet &packet)
 {
-    ByteReader reader(packet.payload.data(), packet.payload.size());
-    auto id = reader.readU64();
-    auto from = reader.readU32();
-    auto to = reader.readU32();
-    auto seq = reader.readU64();
-    auto sentAt = reader.readU64();
-    if (!id || !from || !to || !seq || !sentAt) {
-        LOG_DEBUG << name_ << ": malformed fleet frame ("
-                  << packet.payload.size() << " bytes)";
+    const Payload &frame = packet.payload;
+    if (frame.size() < kWireHeaderBytes) {
+        countMalformedFrame();
+        LOG_DEBUG << name_ << ": malformed fleet frame (" << frame.size()
+                  << " bytes)";
         return;
     }
-    const Payload body = packet.payload.slice(
-        kWireHeaderBytes, packet.payload.size() - kWireHeaderBytes);
+    WireHeader header;
+    std::memcpy(&header, frame.data(), kWireHeaderBytes);
+    const Payload body =
+        frame.slice(kWireHeaderBytes, frame.size() - kWireHeaderBytes);
 
     // Route under the fabric lock and deliver while still holding it:
     // a concurrent destroyChannel blocks in removeRoute until we are
     // done, so the channel cannot be freed under us.
-    std::lock_guard<std::mutex> lock(fabricMutex_);
-    auto it = routes_.find(id.value());
-    if (it == routes_.end()) {
+    std::lock_guard<exec::EngineMutex> lock(fabricMutex_);
+    RemoteChannel *channel = routes_.find(header.channel);
+    if (!channel) {
         ++orphans_;
         remoteMetrics().orphans.increment();
         return;
     }
-    it->second->deliverWire(to.value(), from.value(), seq.value(),
-                            static_cast<sim::SimTime>(sentAt.value()),
-                            body);
+    channel->deliverWire(*this, header, body);
 }
 
 Fleet::Fleet(exec::Executor &executor, FleetConfig config)
@@ -508,7 +630,15 @@ Fleet::Fleet(exec::Executor &executor, FleetConfig config)
     }
 }
 
-Fleet::~Fleet() = default;
+Fleet::~Fleet()
+{
+    // Tear every shard's channels down while all hosts still exist: a
+    // remote channel removes its id from each endpoint host's route
+    // table as it dies, and a host destroyed first would leave it
+    // erasing from freed memory.
+    for (auto &host : hosts_)
+        host->runtime_.reset();
+}
 
 Host *
 Fleet::hostByName(std::string_view name)

@@ -31,7 +31,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <type_traits>
 #include <vector>
 
 #include "core/runtime.hh"
@@ -49,8 +49,60 @@ class RemoteChannel;
 inline constexpr net::Port kFleetDevicePort = 9100;
 /** Fabric port for host-path endpoints (DMA + interrupt on rx). */
 inline constexpr net::Port kFleetHostPort = 9101;
-/** Remote frame header: id(8) + from(4) + to(4) + seq(8) + sentAt(8). */
+/**
+ * Remote frame header, little-endian on the wire and copied in and
+ * out as one struct: channel id, sender and receiver endpoint
+ * indices, the per-(from, to) sequence number, and the write time.
+ */
+struct WireHeader
+{
+    std::uint64_t channel;
+    std::uint32_t from;
+    std::uint32_t to;
+    std::uint64_t seq;
+    std::uint64_t sentAt;
+};
 inline constexpr std::size_t kWireHeaderBytes = 32;
+static_assert(sizeof(WireHeader) == kWireHeaderBytes &&
+              std::is_trivially_copyable_v<WireHeader>);
+
+/**
+ * ChannelId -> RemoteChannel * map for a host's inbound frames, with
+ * open addressing: Fibonacci-hashed ids, linear probing, and deletion
+ * by backward shift (no tombstones). A lookup reads one or two
+ * adjacent 16 B slots instead of a node-based map's bucket and nodes,
+ * which matters when thousands of streams each see one frame per
+ * pass. kInvalidChannel (0) marks an empty slot and is never stored.
+ */
+class RouteTable
+{
+  public:
+    RemoteChannel *find(core::ChannelId id) const;
+    /** Insert or overwrite. */
+    void insert(core::ChannelId id, RemoteChannel *channel);
+    void erase(core::ChannelId id);
+    std::size_t size() const { return used_; }
+
+  private:
+    struct Slot
+    {
+        core::ChannelId id = core::kInvalidChannel;
+        RemoteChannel *channel = nullptr;
+    };
+
+    std::size_t
+    home(core::ChannelId id) const
+    {
+        return static_cast<std::size_t>((id * 0x9E3779B97F4A7C15ull) >>
+                                        shift_);
+    }
+    void grow();
+
+    std::vector<Slot> slots_;
+    std::size_t used_ = 0;
+    /** 64 - log2(capacity). */
+    unsigned shift_ = 64;
+};
 
 /** Fleet-wide construction parameters. */
 struct FleetConfig
@@ -133,8 +185,8 @@ class Host
      * under the handler; consequently fabric handlers must not
      * destroy channels of the same host inline.
      */
-    mutable std::mutex fabricMutex_;
-    std::unordered_map<core::ChannelId, RemoteChannel *> routes_;
+    mutable exec::EngineMutex fabricMutex_;
+    RouteTable routes_;
     std::uint64_t orphans_ = 0;
 };
 

@@ -1,7 +1,10 @@
 #include "fleet/loadgen.hh"
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cstring>
 #include <memory>
 
 #include "common/bytes.hh"
@@ -12,6 +15,9 @@
 namespace hydra::fleet {
 
 namespace {
+
+static_assert(std::endian::native == std::endian::little,
+              "messages carry their write time little-endian");
 
 /** One long-lived stream: a channel homed by the placement ring. */
 struct Stream
@@ -88,11 +94,12 @@ buildStream(RunState &state, Stream &stream)
     stream.channel->installHandler(
         endpoint.value(),
         [&executor, &latency, count](const Payload &message, std::size_t) {
-            ByteReader reader(message.data(), message.size());
-            auto stamp = reader.readU64();
-            if (stamp)
+            std::uint64_t stamp = 0;
+            if (message.size() >= sizeof(stamp)) {
+                std::memcpy(&stamp, message.data(), sizeof(stamp));
                 latency.record(executor.now() -
-                               static_cast<sim::SimTime>(stamp.value()));
+                               static_cast<sim::SimTime>(stamp));
+            }
             count->fetch_add(1, std::memory_order_relaxed);
         });
     return true;
@@ -103,12 +110,13 @@ writeOne(RunState &state, Stream &stream)
 {
     if (!stream.channel)
         return;
+    // The write time, little-endian, then zero padding.
+    const auto stamp =
+        static_cast<std::uint64_t>(state.fleet.executor().now());
     PayloadBuilder builder;
-    ByteWriter writer(builder.buffer());
-    writer.writeU64(
-        static_cast<std::uint64_t>(state.fleet.executor().now()));
-    if (builder.buffer().size() < state.config.messageBytes)
-        builder.buffer().resize(state.config.messageBytes, 0);
+    Bytes &buffer = builder.buffer();
+    buffer.resize(std::max(sizeof(stamp), state.config.messageBytes));
+    std::memcpy(buffer.data(), &stamp, sizeof(stamp));
     Status written = stream.channel->write(builder.seal());
     if (!written)
         state.writeFailures.fetch_add(1, std::memory_order_relaxed);

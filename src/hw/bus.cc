@@ -30,7 +30,8 @@ busMetrics()
 Bus::Bus(exec::Executor &executor, std::string name, double bandwidth_gbps,
          sim::SimTime setup_latency)
     : exec_(executor), name_(std::move(name)),
-      bandwidthGbps_(bandwidth_gbps), setupLatency_(setup_latency)
+      bandwidthGbps_(bandwidth_gbps), setupLatency_(setup_latency),
+      mutex_(executor)
 {
     assert(bandwidth_gbps > 0.0);
 }
@@ -45,7 +46,7 @@ Bus::transfer(std::uint64_t bytes, Callback done)
     sim::SimTime stalled = 0;
     sim::SimTime fireAt = 0;
     {
-        std::lock_guard<std::mutex> lock(mutex_);
+        std::lock_guard<exec::EngineMutex> lock(mutex_);
         start = std::max(nowTime, freeAt_);
         stalled = start - nowTime;
         freeAt_ = start + duration;
@@ -86,7 +87,7 @@ Bus::transfer(std::uint64_t bytes, Callback done)
 sim::SimTime
 Bus::estimateCompletion(std::uint64_t bytes) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<exec::EngineMutex> lock(mutex_);
     const sim::SimTime start = std::max(exec_.now(), freeAt_);
     return start + setupLatency_ + sim::transferTime(bytes, bandwidthGbps_);
 }
@@ -94,13 +95,14 @@ Bus::estimateCompletion(std::uint64_t bytes) const
 BusStats
 Bus::stats() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<exec::EngineMutex> lock(mutex_);
     return stats_;
 }
 
 DmaEngine::DmaEngine(exec::Executor &executor, Bus &bus,
                      sim::SimTime per_descriptor_cost, std::string owner)
-    : exec_(executor), bus_(bus), perDescriptorCost_(per_descriptor_cost)
+    : exec_(executor), bus_(bus), perDescriptorCost_(per_descriptor_cost),
+      mutex_(executor)
 {
     if (!owner.empty())
         transferNs_ = &obs::histogram("dma.transfer_ns",
@@ -111,20 +113,34 @@ void
 DmaEngine::start(std::uint64_t bytes, Bus::Callback done)
 {
     ++transfers_;
-    const sim::SimTime startedAt = exec_.now();
+    std::uint32_t slot = 0;
+    {
+        std::lock_guard<exec::EngineMutex> lock(mutex_);
+        slot = inFlight_.put(Transfer{bytes, exec_.now(), std::move(done)});
+    }
     // Descriptor fetch/setup happens on the device before the payload
     // crosses the bus.
-    exec_.schedule(
-        perDescriptorCost_,
-        [this, bytes, startedAt, done = std::move(done)]() mutable {
-            bus_.transfer(
-                bytes,
-                [this, startedAt, done = std::move(done)]() mutable {
-                    if (transferNs_)
-                        transferNs_->record(exec_.now() - startedAt);
-                    done();
-                });
-        });
+    exec_.schedule(perDescriptorCost_, [this, slot]() {
+        std::uint64_t size = 0;
+        {
+            std::lock_guard<exec::EngineMutex> lock(mutex_);
+            size = inFlight_[slot].bytes;
+        }
+        bus_.transfer(size, [this, slot]() { complete(slot); });
+    });
+}
+
+void
+DmaEngine::complete(std::uint32_t slot)
+{
+    Transfer transfer;
+    {
+        std::lock_guard<exec::EngineMutex> lock(mutex_);
+        transfer = inFlight_.take(slot);
+    }
+    if (transferNs_)
+        transferNs_->record(exec_.now() - transfer.startedAt);
+    transfer.done();
 }
 
 } // namespace hydra::hw

@@ -17,6 +17,7 @@
 #include <mutex>
 #include <string>
 
+#include "common/slab.hh"
 #include "exec/executor.hh"
 #include "sim/time.hh"
 
@@ -78,7 +79,7 @@ class Bus
      * section is a few integer updates; the completion callback is
      * scheduled outside it.
      */
-    mutable std::mutex mutex_;
+    mutable exec::EngineMutex mutex_;
     sim::SimTime freeAt_ = 0;
     BusStats stats_;
 };
@@ -108,9 +109,27 @@ class DmaEngine
     }
 
   private:
+    /** One DMA between start() and its completion. */
+    struct Transfer
+    {
+        std::uint64_t bytes = 0;
+        sim::SimTime startedAt = 0;
+        Bus::Callback done;
+    };
+
+    void complete(std::uint32_t slot);
+
     exec::Executor &exec_;
     Bus &bus_;
     sim::SimTime perDescriptorCost_;
+    /**
+     * Transfers in flight, by slot: the descriptor-fetch and bus
+     * completion events capture only (this, slot), so neither wraps
+     * the caller's callback in a heap-allocated closure. Guarded:
+     * driver threads start DMAs while the coordinator completes them.
+     */
+    exec::EngineMutex mutex_;
+    Slab<Transfer> inFlight_;
     /** Atomic: fleet driver threads start DMAs concurrently. */
     std::atomic<std::uint64_t> transfers_{0};
     /** `dma.transfer_ns{device=owner}`; nullptr when anonymous. */

@@ -12,6 +12,7 @@
 #define HYDRA_HW_CACHE_HH
 
 #include <cstdint>
+#include <new>
 #include <vector>
 
 namespace hydra::hw {
@@ -100,6 +101,39 @@ class CacheModel
         std::uint64_t lastUse = 0;
     };
 
+    /**
+     * Storage aligned to the host's 64 B cache line. A set of 8 ways
+     * is 192 B: aligned it spans 3 host lines, while an array placed
+     * wherever the heap's history left it spans 4 per set and makes
+     * the model's own speed depend on unrelated allocations.
+     */
+    template <typename T>
+    struct HostLineAllocator
+    {
+        using value_type = T;
+        static constexpr std::align_val_t kAlign{64};
+
+        HostLineAllocator() = default;
+        template <typename U>
+        HostLineAllocator(const HostLineAllocator<U> &)
+        {
+        }
+
+        T *
+        allocate(std::size_t n)
+        {
+            return static_cast<T *>(::operator new(n * sizeof(T), kAlign));
+        }
+
+        void
+        deallocate(T *p, std::size_t)
+        {
+            ::operator delete(p, kAlign);
+        }
+
+        bool operator==(const HostLineAllocator &) const = default;
+    };
+
     /** Line indices [first, first + count) covered by a byte range. */
     struct LineRange
     {
@@ -117,7 +151,7 @@ class CacheModel
     Addr setMask_ = 0;
     std::size_t ways_ = 0;
     /** numSets x ways, set-major. */
-    std::vector<Line> lines_;
+    std::vector<Line, HostLineAllocator<Line>> lines_;
     /** Per set: the epoch_ in force when its state last changed. */
     std::vector<std::uint64_t> setStamp_;
     /** Bumped at the end of every retouch(). */

@@ -34,14 +34,14 @@ netMetrics()
 } // namespace
 
 Network::Network(exec::Executor &executor, NetworkConfig config)
-    : exec_(executor), config_(config), rng_(config.seed)
+    : exec_(executor), config_(config), mutex_(executor), rng_(config.seed)
 {
 }
 
 NodeId
 Network::addNode(std::string name)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<exec::EngineMutex> lock(mutex_);
     nodes_.push_back(Node{std::move(name), 0, 0, {}});
     return static_cast<NodeId>(nodes_.size() - 1);
 }
@@ -49,7 +49,7 @@ Network::addNode(std::string name)
 Status
 Network::bind(NodeId node, Port port, PacketHandler handler)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<exec::EngineMutex> lock(mutex_);
     if (node >= nodes_.size())
         return Status(ErrorCode::NotFound, "no such node");
     auto &handlers = nodes_[node].handlers;
@@ -62,7 +62,7 @@ Network::bind(NodeId node, Port port, PacketHandler handler)
 void
 Network::unbind(NodeId node, Port port)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<exec::EngineMutex> lock(mutex_);
     if (node < nodes_.size())
         nodes_[node].handlers.erase(port);
 }
@@ -70,21 +70,21 @@ Network::unbind(NodeId node, Port port)
 std::string
 Network::nodeName(NodeId node) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<exec::EngineMutex> lock(mutex_);
     return node < nodes_.size() ? nodes_[node].name : "<unknown>";
 }
 
 std::size_t
 Network::nodeCount() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<exec::EngineMutex> lock(mutex_);
     return nodes_.size();
 }
 
 NetworkStats
 Network::stats() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<exec::EngineMutex> lock(mutex_);
     return stats_;
 }
 
@@ -97,9 +97,11 @@ Network::send(Packet packet)
 
     sim::SimTime delivered = 0;
     sim::SimTime duplicateAt = 0;
+    std::uint32_t slot = 0;
+    std::uint32_t duplicateSlot = 0;
     chaos::ChaosEngine &chaosEngine = chaos::ChaosEngine::instance();
     {
-        std::lock_guard<std::mutex> lock(mutex_);
+        std::lock_guard<exec::EngineMutex> lock(mutex_);
         if (packet.src >= nodes_.size() || packet.dst >= nodes_.size())
             return Status(ErrorCode::NetworkUnreachable, "bad address");
         if (packet.payload.size() > config_.maxPayload)
@@ -166,28 +168,29 @@ Network::send(Packet packet)
             duplicateAt = dst.rxFreeAt + config_.linkLatency;
             ++stats_.packetsSent;
             netMetrics().sent.increment();
+            duplicateSlot = inFlight_.put(packet);
         }
+        slot = inFlight_.put(std::move(packet));
     }
 
     if (duplicateAt != 0) {
-        exec_.scheduleAt(duplicateAt, [this, pkt = packet]() mutable {
-            deliver(std::move(pkt));
-        });
+        exec_.scheduleAt(duplicateAt,
+                         [this, duplicateSlot]() { deliver(duplicateSlot); });
     }
-    exec_.scheduleAt(delivered, [this, pkt = std::move(packet)]() mutable {
-        deliver(std::move(pkt));
-    });
+    exec_.scheduleAt(delivered, [this, slot]() { deliver(slot); });
     return Status::success();
 }
 
 void
-Network::deliver(Packet packet)
+Network::deliver(std::uint32_t slot)
 {
+    Packet packet;
     PacketHandler handler;
     {
-        // Copy the handler out so the receive path (which may re-enter
-        // send()) runs without the fabric lock.
-        std::lock_guard<std::mutex> lock(mutex_);
+        // Take the packet and copy the handler out so the receive path
+        // (which may re-enter send()) runs without the fabric lock.
+        std::lock_guard<exec::EngineMutex> lock(mutex_);
+        packet = inFlight_.take(slot);
         Node &dst = nodes_[packet.dst];
         auto it = dst.handlers.find(packet.dstPort);
         if (it == dst.handlers.end()) {

@@ -17,6 +17,7 @@
 
 #include "common/result.hh"
 #include "common/rng.hh"
+#include "common/slab.hh"
 #include "net/packet.hh"
 #include "exec/executor.hh"
 
@@ -79,7 +80,7 @@ class Network
         std::map<Port, PacketHandler> handlers;
     };
 
-    void deliver(Packet packet);
+    void deliver(std::uint32_t slot);
 
     exec::Executor &exec_;
     NetworkConfig config_;
@@ -92,10 +93,16 @@ class Network
      * Handlers are invoked WITHOUT the lock held (deliver copies the
      * handler out), so receive paths may re-enter send().
      */
-    mutable std::mutex mutex_;
+    mutable exec::EngineMutex mutex_;
     std::vector<Node> nodes_;
     NetworkStats stats_;
     hydra::Rng rng_;
+    /**
+     * Packets on the wire, by slot: the delivery event captures only
+     * (this, slot), which std::function stores inline, so a packet in
+     * flight costs no heap allocation once the slab has grown.
+     */
+    Slab<Packet> inFlight_;
 };
 
 } // namespace hydra::net

@@ -134,10 +134,26 @@ MetricsRegistry::histogram(const std::string &name, const Labels &labels)
     return findOrCreate(histograms_, name, labels);
 }
 
+void
+MetricsRegistry::addCollector(std::function<void()> fn)
+{
+    std::lock_guard<std::mutex> lock(collectorMutex_);
+    collectors_.push_back(std::move(fn));
+}
+
+void
+MetricsRegistry::collect() const
+{
+    std::lock_guard<std::mutex> lock(collectorMutex_);
+    for (const std::function<void()> &fn : collectors_)
+        fn();
+}
+
 std::uint64_t
 MetricsRegistry::counterValue(const std::string &name,
                               const Labels &labels) const
 {
+    collect();
     const Labels sorted = sortedLabels(labels);
     std::lock_guard<std::mutex> lock(mutex_);
     for (const Entry<Counter> &entry : counters_)
@@ -149,6 +165,7 @@ MetricsRegistry::counterValue(const std::string &name,
 std::uint64_t
 MetricsRegistry::counterTotal(const std::string &name) const
 {
+    collect();
     std::lock_guard<std::mutex> lock(mutex_);
     std::uint64_t total = 0;
     for (const Entry<Counter> &entry : counters_)
@@ -172,6 +189,7 @@ MetricsRegistry::findHistogram(const std::string &name,
 RegistrySnapshot
 MetricsRegistry::snapshot() const
 {
+    collect();
     RegistrySnapshot out;
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -200,6 +218,7 @@ MetricsRegistry::snapshot() const
 void
 MetricsRegistry::reset()
 {
+    collect();
     std::lock_guard<std::mutex> lock(mutex_);
     for (const Entry<Counter> &entry : counters_)
         entry.instrument->reset();
@@ -212,6 +231,7 @@ MetricsRegistry::reset()
 std::string
 MetricsRegistry::toJson() const
 {
+    collect();
     std::lock_guard<std::mutex> lock(mutex_);
     std::ostringstream out;
     out << "{\"counters\":[";
@@ -285,6 +305,7 @@ MetricsRegistry::toJson() const
 std::string
 MetricsRegistry::prettyTable() const
 {
+    collect();
     std::lock_guard<std::mutex> lock(mutex_);
 
     // Rows are sorted by display name and the name column is sized to

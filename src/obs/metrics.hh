@@ -23,6 +23,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -127,6 +128,15 @@ class MetricsRegistry
     /** Zero every value; handles stay valid. */
     void reset();
 
+    /**
+     * Run @p fn before every read and every reset. For instruments
+     * whose values are counted elsewhere (the event kernel's): the
+     * collector publishes them just in time, so the counting side
+     * pays no atomic RMW per event. Collectors must not read the
+     * registry; they live for the process.
+     */
+    void addCollector(std::function<void()> fn);
+
     /** Machine-readable dump (one JSON object). */
     std::string toJson() const;
     /** Human-readable aligned table. */
@@ -147,6 +157,11 @@ class MetricsRegistry
     T &findOrCreate(std::vector<Entry<T>> &entries, const std::string &name,
                     const Labels &labels);
 
+    /** Run the collectors (outside mutex_: they update instruments). */
+    void collect() const;
+
+    mutable std::mutex collectorMutex_;
+    std::vector<std::function<void()>> collectors_;
     mutable std::mutex mutex_;
     std::vector<Entry<Counter>> counters_;
     std::vector<Entry<Gauge>> gauges_;

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -128,6 +130,42 @@ TEST(PlacementTest, HostRemovalMovesOnlyTheDepartedShare)
     EXPECT_GT(orphans, 0);
     EXPECT_EQ(moved, orphansMoved);
     EXPECT_LT(moved, keys * 35 / 100);
+}
+
+// -------------------------------------------------------- route table
+
+TEST(RouteTableTest, MatchesAReferenceMapUnderChurn)
+{
+    // Seeded inserts, overwrites and erases (erase exercises the
+    // backward shift across wrapped probe runs) against std::map.
+    RouteTable table;
+    std::map<core::ChannelId, RemoteChannel *> reference;
+    std::uint64_t state = 12345;
+    const auto next = [&state] {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        return state >> 33;
+    };
+    for (int step = 0; step < 20000; ++step) {
+        const core::ChannelId id = 1 + next() % 600;
+        auto *fake = reinterpret_cast<RemoteChannel *>(
+            static_cast<std::uintptr_t>(8 * (1 + next() % 1000)));
+        if (next() % 3 == 0) {
+            table.erase(id);
+            reference.erase(id);
+        } else {
+            table.insert(id, fake);
+            reference[id] = fake;
+        }
+        if (step % 97 == 0) {
+            ASSERT_EQ(table.size(), reference.size());
+            for (core::ChannelId probe = 0; probe <= 601; ++probe) {
+                auto it = reference.find(probe);
+                ASSERT_EQ(table.find(probe),
+                          it == reference.end() ? nullptr : it->second)
+                    << "id " << probe << " at step " << step;
+            }
+        }
+    }
 }
 
 // ----------------------------------------------------------- topology
@@ -296,6 +334,266 @@ TEST(CrossHostChannelTest, DestroyMidFlightOrphansFramesSafely)
     exec.drain();
 
     EXPECT_EQ(sink.seqs.size() + fleet.host(1).orphanFrames(), 10u);
+}
+
+// ------------------------------------------------------------- ledger
+
+TEST(ChannelLedgerTest, OversizeWriteIsRefusedBeforeItCountsOnEveryTransport)
+{
+    // One oversize write, then N normal ones, over a local, a ring and
+    // a remote channel: each transport refuses the oversize write
+    // without counting it, so sent == delivered + dropped holds in
+    // the per-transport series and in the channel's own stats.
+    exec::SimExecutor exec;
+    FleetConfig config;
+    config.hosts = 2;
+    Fleet fleet(exec, config);
+    Host &home = fleet.host(0);
+    Host &peer = fleet.host(1);
+
+    struct Case
+    {
+        const char *transport;
+        core::ExecutionSite *target;
+    };
+    const std::vector<Case> cases{
+        {"local", &home.runtime().hostSite()},
+        {"dma-ring", home.runtime().siteByName(home.nic().name())},
+        {"remote", peer.runtime().siteByName(peer.nic().name())},
+    };
+    auto &registry = obs::MetricsRegistry::instance();
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.transport);
+        ASSERT_NE(c.target, nullptr);
+        core::ChannelConfig channelConfig;
+        channelConfig.name = "test.ledger";
+        channelConfig.targetDevice = c.target->name();
+        channelConfig.maxMessageBytes = 512;
+        auto created = home.executive().createChannel(
+            channelConfig, home.runtime().hostSite(), 256);
+        ASSERT_TRUE(created.ok()) << created.error().describe();
+        core::Channel *channel = created.value();
+        auto endpoint = channel->connectSite(*c.target);
+        ASSERT_TRUE(endpoint.ok());
+        std::uint64_t handled = 0;
+        channel->installHandler(endpoint.value(),
+                                [&handled](const Payload &, std::size_t) {
+                                    ++handled;
+                                });
+
+        const obs::Labels transport{{"transport", c.transport}};
+        const std::uint64_t sent0 =
+            registry.counterValue("channel.messages_sent", transport);
+        const std::uint64_t dropped0 =
+            registry.counterValue("channel.messages_dropped", transport);
+        const std::uint64_t delivered0 =
+            registry.counterValue("channel.messages_delivered");
+
+        EXPECT_EQ(channel->write(stampedMessage(0, 513)).code(),
+                  ErrorCode::MessageTooLarge);
+        constexpr std::uint64_t kMessages = 12;
+        for (std::uint64_t i = 0; i < kMessages; ++i)
+            ASSERT_TRUE(channel->write(stampedMessage(i, 64)).ok());
+        exec.runUntil(exec.now() + sim::milliseconds(20));
+        exec.drain();
+
+        const std::uint64_t sent =
+            registry.counterValue("channel.messages_sent", transport) -
+            sent0;
+        const std::uint64_t dropped =
+            registry.counterValue("channel.messages_dropped", transport) -
+            dropped0;
+        const std::uint64_t delivered =
+            registry.counterValue("channel.messages_delivered") -
+            delivered0;
+        EXPECT_EQ(sent, kMessages);
+        EXPECT_EQ(dropped, 0u);
+        EXPECT_EQ(sent, delivered + dropped);
+        EXPECT_EQ(handled, kMessages);
+        const core::ChannelStats &stats = channel->stats();
+        EXPECT_EQ(stats.messagesSent, kMessages);
+        EXPECT_EQ(stats.messagesSent,
+                  stats.messagesDelivered + stats.messagesDropped);
+        ASSERT_TRUE(home.executive().destroyChannel(channel->id()).ok());
+    }
+}
+
+// ------------------------------------------------ wire header corpus
+
+/** A frame as the remote transport lays it out. */
+Bytes
+wireFrame(const WireHeader &header, std::uint64_t tag, std::size_t body)
+{
+    Bytes frame(kWireHeaderBytes + body, 0);
+    std::memcpy(frame.data(), &header, kWireHeaderBytes);
+    std::memcpy(frame.data() + kWireHeaderBytes, &tag,
+                std::min(sizeof(tag), body));
+    return frame;
+}
+
+TEST(WireHeaderRobustnessTest, MutatedFramesMoveExactCountersAndNeverMisdeliver)
+{
+    // A seeded corpus of frames injected through net::Network into
+    // host1's device and host fabric ports: truncated frames, unknown
+    // channel ids, endpoint indices out of range or naming an
+    // endpoint on another host, sequence skips, and single-byte flips
+    // anywhere in the frame (the chaos `corrupt` fault's shape). A
+    // small oracle decodes each frame by the documented rules; the
+    // counters must move exactly as it says, and every delivery must
+    // land at the endpoint the frame names, in order, and nowhere else.
+    exec::SimExecutor exec;
+    FleetConfig config;
+    config.hosts = 3;
+    Fleet fleet(exec, config);
+    Host &sender = fleet.host(0);
+    Host &receiver = fleet.host(1);
+
+    struct Stream
+    {
+        core::Channel *channel = nullptr;
+        net::Port port = 0;
+        /** Oracle: frames endpoint 1 has seen from endpoint 0. */
+        std::uint64_t seen = 0;
+        std::vector<Bytes> expected;
+        std::vector<Bytes> received;
+    };
+    std::vector<Stream> streams(2);
+    const std::vector<std::pair<std::string, net::Port>> targets{
+        {receiver.nic().name(), kFleetDevicePort},
+        {receiver.runtime().hostSite().name(), kFleetHostPort},
+    };
+    for (std::size_t k = 0; k < streams.size(); ++k) {
+        core::ChannelConfig channelConfig;
+        channelConfig.name = "test.corpus";
+        channelConfig.targetDevice = targets[k].first;
+        auto created = sender.executive().createChannel(
+            channelConfig, sender.runtime().hostSite(), 256);
+        ASSERT_TRUE(created.ok()) << created.error().describe();
+        streams[k].channel = created.value();
+        streams[k].port = targets[k].second;
+        core::ExecutionSite *site =
+            receiver.runtime().siteByName(targets[k].first);
+        ASSERT_NE(site, nullptr);
+        auto endpoint = streams[k].channel->connectSite(*site);
+        ASSERT_TRUE(endpoint.ok());
+        ASSERT_EQ(endpoint.value(), 1u);
+        Stream *stream = &streams[k];
+        streams[k].channel->installHandler(
+            1, [stream](const Payload &body, std::size_t from) {
+                EXPECT_EQ(from, 0u);
+                stream->received.push_back(body.toBytes());
+            });
+    }
+
+    auto &registry = obs::MetricsRegistry::instance();
+    const std::uint64_t orphans0 = registry.counterValue("fleet.orphan_frames");
+    const std::uint64_t malformed0 =
+        registry.counterValue("fleet.malformed_frames");
+    const std::uint64_t gaps0 = registry.counterValue("fleet.seq_gaps");
+    std::uint64_t orphans = 0;
+    std::uint64_t malformed = 0;
+    std::uint64_t gaps = 0;
+
+    /** The receiving host's rules, restated: what should happen. */
+    const auto judge = [&](const Bytes &frame) {
+        if (frame.size() < kWireHeaderBytes) {
+            ++malformed;
+            return;
+        }
+        WireHeader header;
+        std::memcpy(&header, frame.data(), kWireHeaderBytes);
+        Stream *stream = nullptr;
+        for (Stream &s : streams)
+            if (s.channel->id() == header.channel)
+                stream = &s;
+        if (!stream) {
+            ++orphans;
+            return;
+        }
+        // Endpoint 0 lives on host0; only endpoint 1 is on host1.
+        if (header.to != 1 || header.from != 0) {
+            ++malformed;
+            return;
+        }
+        if (header.seq != stream->seen)
+            ++gaps;
+        stream->seen = header.seq + 1;
+        stream->expected.emplace_back(frame.begin() + kWireHeaderBytes,
+                                      frame.end());
+    };
+
+    std::uint64_t state = 20260101;
+    const auto draw = [&state](std::uint64_t bound) {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        return (state >> 33) % bound;
+    };
+    std::vector<std::uint64_t> txSeq(streams.size(), 0);
+    constexpr int kFrames = 600;
+    for (int n = 0; n < kFrames; ++n) {
+        const std::size_t k = draw(streams.size());
+        WireHeader header{streams[k].channel->id(), 0, 1, txSeq[k]++,
+                          exec.now()};
+        const std::size_t body = 8 + draw(120);
+        Bytes frame;
+        switch (draw(7)) {
+          case 0: // truncated below the header
+            frame = wireFrame(header, n, body);
+            frame.resize(draw(kWireHeaderBytes));
+            break;
+          case 1: // unknown channel id
+            header.channel = (1ull << 62) + draw(1u << 20);
+            frame = wireFrame(header, n, body);
+            break;
+          case 2: // endpoint index out of range, or on another host
+            if (draw(2))
+                header.to = 2 + static_cast<std::uint32_t>(draw(1000));
+            else
+                header.from = 2 + static_cast<std::uint32_t>(draw(1000));
+            if (draw(4) == 0)
+                header = WireHeader{header.channel, 1, 0, header.seq,
+                                    header.sentAt};
+            frame = wireFrame(header, n, body);
+            break;
+          case 3: // the sender skipped sequence numbers
+            header.seq += 1 + draw(5);
+            txSeq[k] = header.seq + 1;
+            frame = wireFrame(header, n, body);
+            break;
+          case 4: { // one byte flipped anywhere in the frame
+            frame = wireFrame(header, n, body);
+            const std::size_t at = draw(frame.size());
+            frame[at] ^= static_cast<std::uint8_t>(1 + draw(255));
+            break;
+          }
+          default: // intact
+            frame = wireFrame(header, n, body);
+            break;
+        }
+        judge(frame);
+        net::Packet packet;
+        packet.src = fleet.host(2).node();
+        packet.dst = receiver.node();
+        packet.srcPort = streams[k].port;
+        packet.dstPort = streams[k].port;
+        packet.payload = Payload(std::move(frame));
+        ASSERT_TRUE(fleet.network().send(std::move(packet)).ok());
+    }
+    exec.runUntil(exec.now() + sim::milliseconds(50));
+    exec.drain();
+
+    EXPECT_GT(orphans, 0u);
+    EXPECT_GT(malformed, 0u);
+    EXPECT_GT(gaps, 0u);
+    EXPECT_EQ(registry.counterValue("fleet.orphan_frames") - orphans0,
+              orphans);
+    EXPECT_EQ(registry.counterValue("fleet.malformed_frames") - malformed0,
+              malformed);
+    EXPECT_EQ(registry.counterValue("fleet.seq_gaps") - gaps0, gaps);
+    EXPECT_EQ(receiver.orphanFrames(), orphans);
+    for (const Stream &stream : streams) {
+        EXPECT_FALSE(stream.expected.empty());
+        EXPECT_EQ(stream.received, stream.expected);
+    }
 }
 
 // --------------------------------------------------- executive shards

@@ -1,16 +1,24 @@
 /**
  * @file
- * Unit tests for the discrete-event kernel.
+ * Unit tests for the discrete-event kernel (exec::SimExecutor) and
+ * simulated time.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <vector>
 
-#include "sim/simulator.hh"
+#include "exec/sim_executor.hh"
+#include "obs/metrics.hh"
+#include "sim/time.hh"
 
 namespace hydra::sim {
 namespace {
+
+using Simulator = exec::SimExecutor;
+using EventId = exec::TaskId;
 
 TEST(SimTimeTest, UnitConversions)
 {
@@ -237,6 +245,135 @@ TEST(SimulatorTest, ManyEventsStressOrdering)
     sim.runToCompletion();
     EXPECT_TRUE(monotonic);
     EXPECT_EQ(sim.eventsDispatched(), 10000u);
+}
+
+TEST(SimulatorTest, DispatchOrderIsTimeThenSchedulingOrder)
+{
+    // Many equal timestamps, cancellations, and callbacks that
+    // schedule more (some at zero delay): the dispatch sequence must be
+    // exactly (when, scheduling order), the order the ids encode.
+    Simulator sim;
+    std::uint64_t state = 99;
+    const auto draw = [&state](std::uint64_t bound) {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        return (state >> 33) % bound;
+    };
+    std::uint64_t issued = 0;
+    std::vector<std::pair<SimTime, std::uint64_t>> fired;
+    std::vector<EventId> ids;
+    std::function<void(SimTime)> add = [&](SimTime when) {
+        const std::uint64_t order = issued++;
+        ids.push_back(sim.scheduleAt(when, [&, when, order]() {
+            fired.emplace_back(when, order);
+            if (fired.size() < 4000 && draw(3) == 0)
+                add(sim.now() + draw(4)); // often the same instant
+        }));
+    };
+    for (int i = 0; i < 3000; ++i)
+        add(draw(50));
+    for (int i = 0; i < 300; ++i)
+        sim.cancel(ids[draw(ids.size())]);
+    sim.runToCompletion();
+    for (std::size_t i = 1; i < fired.size(); ++i)
+        ASSERT_LT(fired[i - 1], fired[i]) << "at dispatch " << i;
+    const std::uint64_t cancelled = issued - fired.size();
+    EXPECT_GT(cancelled, 0u);
+    EXPECT_LE(cancelled, 300u);
+    EXPECT_EQ(sim.eventsDispatched(), fired.size());
+}
+
+TEST(SimulatorTest, CancelAfterSlotReuseLeavesNewEventAlone)
+{
+    // The fired event's slab slot is recycled by the next schedule;
+    // cancelling the stale id must not reach the event now in it.
+    Simulator sim;
+    const EventId old = sim.schedule(1, []() {});
+    sim.runToCompletion();
+    bool fired = false;
+    const EventId fresh = sim.schedule(1, [&]() { fired = true; });
+    ASSERT_NE(old, fresh);
+    sim.cancel(old);
+    sim.runToCompletion();
+    EXPECT_TRUE(fired);
+    EXPECT_EQ(sim.eventsDispatched(), 2u);
+}
+
+TEST(SimulatorTest, CallbackGrowingTheSlabRunsClean)
+{
+    // A callback that schedules 10k events grows (and moves) the
+    // callback slab while it is itself running; its captured state
+    // must stay valid to the end (ASan checks the reads).
+    Simulator sim;
+    auto payload = std::make_shared<std::vector<int>>(64, 7);
+    int fired = 0;
+    int checksum = 0;
+    sim.schedule(1, [&sim, &fired, &checksum, payload]() {
+        for (int i = 0; i < 10000; ++i)
+            sim.schedule(static_cast<SimTime>(1 + i % 17),
+                         [&fired]() { ++fired; });
+        for (int v : *payload)
+            checksum += v;
+    });
+    sim.runToCompletion();
+    EXPECT_EQ(fired, 10000);
+    EXPECT_EQ(checksum, 64 * 7);
+    EXPECT_EQ(sim.eventsDispatched(), 10001u);
+    EXPECT_EQ(sim.pendingEvents(), 0u);
+}
+
+TEST(SimulatorTest, PeriodicCancelsItselfFromItsCallback)
+{
+    Simulator sim;
+    int ticks = 0;
+    auto state = std::make_shared<int>(0);
+    EventId id = 0;
+    id = sim.schedulePeriodic(10, [&, state]() {
+        ++ticks;
+        if (ticks == 3)
+            sim.cancel(id); // erases the series while it runs
+        *state += ticks;    // captured state still alive
+        return true;
+    });
+    sim.runUntil(1000);
+    EXPECT_EQ(ticks, 3);
+    EXPECT_EQ(*state, 6);
+    EXPECT_EQ(sim.pendingEvents(), 0u);
+}
+
+TEST(SimulatorTest, KernelCountsPublishAtRegistryRead)
+{
+    // sim.events_* and sim.queue_depth are published from the
+    // kernel's own counts when the registry is read, with the same
+    // values per-event counting gave.
+    auto &registry = obs::MetricsRegistry::instance();
+    registry.reset();
+    Simulator sim;
+    sim.schedule(5, []() {});
+    sim.schedule(5, []() {});
+    const EventId gone = sim.schedule(7, []() {});
+    sim.cancel(gone);
+    sim.schedule(9, []() {});
+    sim.step(); // dispatches one; three keys remain (one cancelled)
+    EXPECT_EQ(registry.counterValue("sim.events_scheduled"), 4u);
+    EXPECT_EQ(registry.counterValue("sim.events_dispatched"), 1u);
+    EXPECT_EQ(registry.counterValue("sim.events_cancelled"), 1u);
+    const obs::RegistrySnapshot snap = registry.snapshot();
+    double depth = -1;
+    for (const auto &[key, value] : snap.gauges)
+        if (key == "sim.queue_depth")
+            depth = value;
+    EXPECT_EQ(depth, 3.0);
+    registry.reset();
+    EXPECT_EQ(registry.counterValue("sim.events_dispatched"), 0u);
+    sim.runToCompletion();
+    EXPECT_EQ(registry.counterValue("sim.events_dispatched"), 2u);
+    {
+        // A retiring kernel publishes what it counted.
+        Simulator other;
+        other.schedule(1, []() {});
+        other.runToCompletion();
+    }
+    EXPECT_EQ(registry.counterValue("sim.events_dispatched"), 3u);
 }
 
 } // namespace
