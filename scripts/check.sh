@@ -71,9 +71,9 @@ if [ "$BENCH_SMOKE" -eq 1 ]; then
     # regressed to deep copies" or to a full hot-set walk per tick,
     # not machine-to-machine noise.
     # Fleet end-to-end smoke first: the scale ladder (10k/100k
-    # streams, threaded executor) plus the 1-vs-4-host scaling bar.
-    # The binary exits nonzero if a run fails to deliver cleanly or
-    # the 4-host goodput drops below 2x of one host.
+    # streams, threaded executor). The binary exits nonzero if a rung
+    # fails to deliver cleanly. The 1-vs-4-host goodput bar (>= 2x)
+    # is the BM_FleetOpenLoop gate in bench_gate.py below.
     "$BUILD_DIR/bench/fleet_scale"
     OUT="$BUILD_DIR/bench_smoke.json"
     # Note: the bundled google-benchmark wants a bare double here (no

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Determinism regression check for the sim executor: two runs of the
 # TiVo integration scenario with the same seed must produce
-# byte-identical metrics JSON, span listings, flight recordings, and
-# the exact CPU profile (--profile-out, folded busy/idle ns per site).
+# byte-identical metrics JSON, Chrome trace, span listings, flight
+# recordings, introspection snapshot, and the exact CPU profile
+# (--profile-out, folded busy/idle ns per site).
 # Registered in ctest as `determinism_sim_executor`; each run is a
 # fresh process, so the metrics registry, span id counter, and CPU
 # attribution cells start from zero both times.
@@ -31,9 +32,11 @@ run() {
             --seconds 8 --seed 42 \
             --metrics-format=json \
             --metrics-out metrics.json \
+            --trace-out trace.json \
             --spans-out spans.json \
             --flight-out flight.json --flight-interval-ms 500 \
             --profile-out profile.folded \
+            --introspect-out introspect.json \
             > stdout.txt)
 }
 
@@ -45,6 +48,11 @@ cmp "$SCRATCH/a/metrics.json" "$SCRATCH/b/metrics.json" || {
     diff "$SCRATCH/a/metrics.json" "$SCRATCH/b/metrics.json" | head >&2
     exit 1
 }
+cmp "$SCRATCH/a/trace.json" "$SCRATCH/b/trace.json" || {
+    echo "FAIL: --executor=sim trace JSON differs between runs" >&2
+    diff "$SCRATCH/a/trace.json" "$SCRATCH/b/trace.json" | head >&2
+    exit 1
+}
 cmp "$SCRATCH/a/spans.json" "$SCRATCH/b/spans.json" || {
     echo "FAIL: --executor=sim span output differs between runs" >&2
     diff "$SCRATCH/a/spans.json" "$SCRATCH/b/spans.json" | head >&2
@@ -53,6 +61,11 @@ cmp "$SCRATCH/a/spans.json" "$SCRATCH/b/spans.json" || {
 cmp "$SCRATCH/a/flight.json" "$SCRATCH/b/flight.json" || {
     echo "FAIL: --executor=sim flight recording differs between runs" >&2
     diff "$SCRATCH/a/flight.json" "$SCRATCH/b/flight.json" | head >&2
+    exit 1
+}
+cmp "$SCRATCH/a/introspect.json" "$SCRATCH/b/introspect.json" || {
+    echo "FAIL: --executor=sim introspection differs between runs" >&2
+    diff "$SCRATCH/a/introspect.json" "$SCRATCH/b/introspect.json" | head >&2
     exit 1
 }
 cmp "$SCRATCH/a/profile.folded" "$SCRATCH/b/profile.folded" || {
@@ -66,8 +79,9 @@ cmp "$SCRATCH/a/stdout.txt" "$SCRATCH/b/stdout.txt" || {
     exit 1
 }
 
-echo "OK: sim executor is deterministic (metrics, spans, flight"
-echo "    recording, profile, and scenario output byte-identical)"
+echo "OK: sim executor is deterministic (metrics, trace, spans, flight"
+echo "    recording, introspection, profile, and scenario output"
+echo "    byte-identical)"
 
 # Chaos section: the seeded fault injector must not cost determinism.
 # Two fresh-process runs with the same chaos seed — packet drop /

@@ -1,6 +1,7 @@
 #include "common/json.hh"
 
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 
 namespace hydra::json {
@@ -270,6 +271,82 @@ parse(const std::string &text)
     if (!parser.atEnd())
         return parser.fail("trailing characters");
     return value;
+}
+
+Writer &
+Writer::open(char bracket)
+{
+    raw(std::string_view(&bracket, 1));
+    needComma_ = false;
+    return *this;
+}
+
+Writer &
+Writer::close(char bracket)
+{
+    out_ << bracket;
+    needComma_ = true;
+    return *this;
+}
+
+Writer &
+Writer::key(std::string_view name)
+{
+    value(name);
+    out_ << ':';
+    needComma_ = false;
+    return *this;
+}
+
+Writer &
+Writer::value(std::string_view text)
+{
+    raw("\"");
+    for (char c : text) {
+        switch (c) {
+          case '"': out_ << "\\\""; break;
+          case '\\': out_ << "\\\\"; break;
+          case '\b': out_ << "\\b"; break;
+          case '\f': out_ << "\\f"; break;
+          case '\n': out_ << "\\n"; break;
+          case '\r': out_ << "\\r"; break;
+          case '\t': out_ << "\\t"; break;
+          default:
+            // Cast through unsigned char: a plain (signed) char would
+            // sign-extend bytes >= 0x80 into bogus \uffxx escapes.
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof(buf), "\\u%04x",
+                              static_cast<unsigned>(
+                                  static_cast<unsigned char>(c)));
+                out_ << buf;
+            } else {
+                out_ << c;
+            }
+        }
+    }
+    out_ << '"';
+    return *this;
+}
+
+Writer &
+Writer::value(double number)
+{
+    if (!std::isfinite(number))
+        return raw("0");
+    char buf[32];
+    const int n = std::snprintf(buf, sizeof(buf), "%.6g", number);
+    return raw(std::string_view(buf, static_cast<std::size_t>(n)));
+}
+
+Writer &
+Writer::raw(std::string_view json)
+{
+    if (needComma_)
+        out_ << ',';
+    out_ << json;
+    needComma_ = true;
+    return *this;
 }
 
 } // namespace hydra::json

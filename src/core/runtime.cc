@@ -4,10 +4,11 @@
 #include <sstream>
 
 #include "chaos/chaos.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
+#include "common/strings.hh"
 #include "dev/device.hh"
 #include "obs/flight.hh"
-#include "obs/json.hh"
 #include "obs/metrics.hh"
 #include "obs/slo.hh"
 #include "obs/trace.hh"
@@ -129,23 +130,16 @@ class MonitorPseudoOffcode : public Offcode
             return spans();
         });
         // Flight streams the recorder's snapshot ring. The argument,
-        // when present, is a decimal snapshot count; the default tail
-        // keeps the reply inside the OOB channel's 8 KiB message cap.
+        // when present, is a decimal snapshot count; an empty,
+        // malformed, overflowing or non-positive one keeps the default
+        // tail, which keeps the reply inside the OOB channel's 8 KiB
+        // message cap.
         registerMethod("Flight", [](const Bytes &args) -> Result<Bytes> {
             std::size_t tail = 6;
-            if (!args.empty()) {
-                std::size_t parsed = 0;
-                bool numeric = true;
-                for (unsigned char c : args) {
-                    if (c < '0' || c > '9') {
-                        numeric = false;
-                        break;
-                    }
-                    parsed = parsed * 10 + (c - '0');
-                }
-                if (numeric && parsed > 0)
-                    tail = parsed;
-            }
+            long long parsed = 0;
+            if (parseInt(std::string(args.begin(), args.end()), parsed) &&
+                parsed > 0)
+                tail = static_cast<std::size_t>(parsed);
             const std::string json =
                 obs::FlightRecorder::instance().toJson(tail);
             return Bytes(json.begin(), json.end());
@@ -167,25 +161,18 @@ class MonitorPseudoOffcode : public Offcode
     {
         const IntrospectionSnapshot snap = rt_.introspect();
         std::ostringstream out;
-        out << "{\"machine\":";
-        obs::writeJsonString(out, snap.machine);
-        out << ",\"now_ns\":" << snap.now << ",\"offcodes\":[";
-        bool first = true;
+        json::Writer w(out);
+        w.beginObject().field("machine", snap.machine);
+        w.field("now_ns", snap.now).key("offcodes").beginArray();
         for (const OffcodeIntrospection &oc : snap.offcodes) {
-            if (!first)
-                out << ",";
-            first = false;
             const bool healthy = oc.state == "Started" &&
                                  oc.watchdogAgeNs < kWatchdogLimitNs;
-            out << "{\"bindname\":";
-            obs::writeJsonString(out, oc.bindname);
-            out << ",\"state\":";
-            obs::writeJsonString(out, oc.state);
-            out << ",\"watchdog_age_ns\":" << oc.watchdogAgeNs
-                << ",\"healthy\":" << (healthy ? "true" : "false")
-                << "}";
+            w.beginObject().field("bindname", oc.bindname);
+            w.field("state", oc.state);
+            w.field("watchdog_age_ns", oc.watchdogAgeNs);
+            w.field("healthy", healthy).endObject();
         }
-        out << "]}";
+        w.endArray().endObject();
         const std::string json = out.str();
         return Bytes(json.begin(), json.end());
     }
@@ -195,10 +182,11 @@ class MonitorPseudoOffcode : public Offcode
     {
         auto &tracer = obs::Tracer::instance();
         std::ostringstream out;
-        out << "{\"enabled\":" << (tracer.enabled() ? "true" : "false")
-            << ",\"events\":" << tracer.eventsRecorded()
-            << ",\"overwritten\":" << tracer.eventsOverwritten()
-            << ",\"capacity\":" << tracer.capacity() << "}";
+        json::Writer w(out);
+        w.beginObject().field("enabled", tracer.enabled());
+        w.field("events", tracer.eventsRecorded());
+        w.field("overwritten", tracer.eventsOverwritten());
+        w.field("capacity", tracer.capacity()).endObject();
         const std::string json = out.str();
         return Bytes(json.begin(), json.end());
     }
@@ -885,31 +873,24 @@ Runtime::introspectJson() const
 {
     const IntrospectionSnapshot snap = introspect();
     std::ostringstream out;
-    out << "{\"machine\":";
-    obs::writeJsonString(out, snap.machine);
-    out << ",\"now_ns\":" << snap.now << ",\"offcodes\":[";
-    bool first = true;
+    json::Writer w(out);
+    w.beginObject().field("machine", snap.machine);
+    w.field("now_ns", snap.now).key("offcodes").beginArray();
     for (const OffcodeIntrospection &oc : snap.offcodes) {
-        if (!first)
-            out << ",";
-        first = false;
-        out << "{\"bindname\":";
-        obs::writeJsonString(out, oc.bindname);
-        out << ",\"site\":";
-        obs::writeJsonString(out, oc.site);
-        out << ",\"is_host\":" << (oc.isHost ? "true" : "false")
-            << ",\"state\":";
-        obs::writeJsonString(out, oc.state);
-        out << ",\"calls_handled\":" << oc.telemetry.callsHandled
-            << ",\"data_handled\":" << oc.telemetry.dataHandled
-            << ",\"mgmt_handled\":" << oc.telemetry.mgmtHandled
-            << ",\"invoke_errors\":" << oc.telemetry.invokeErrors
-            << ",\"busy_ns\":" << oc.telemetry.busyNs
-            << ",\"watchdog_age_ns\":" << oc.watchdogAgeNs
-            << ",\"oob_queued\":" << oc.oobQueued
-            << ",\"oob_delivered\":" << oc.oobDelivered << "}";
+        const OffcodeTelemetry &t = oc.telemetry;
+        w.beginObject().field("bindname", oc.bindname);
+        w.field("site", oc.site).field("is_host", oc.isHost);
+        w.field("state", oc.state);
+        w.field("calls_handled", t.callsHandled);
+        w.field("data_handled", t.dataHandled);
+        w.field("mgmt_handled", t.mgmtHandled);
+        w.field("invoke_errors", t.invokeErrors);
+        w.field("busy_ns", t.busyNs);
+        w.field("watchdog_age_ns", oc.watchdogAgeNs);
+        w.field("oob_queued", oc.oobQueued);
+        w.field("oob_delivered", oc.oobDelivered).endObject();
     }
-    out << "]}";
+    w.endArray().endObject();
     return out.str();
 }
 

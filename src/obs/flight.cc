@@ -1,28 +1,10 @@
 #include "obs/flight.hh"
 
-#include <cmath>
-#include <cstdio>
 #include <sstream>
 
-#include "obs/json.hh"
+#include "common/json.hh"
 
 namespace hydra::obs {
-
-namespace {
-
-void
-writeNumber(std::ostringstream &out, double value)
-{
-    if (std::isfinite(value)) {
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "%.6g", value);
-        out << buf;
-    } else {
-        out << "0";
-    }
-}
-
-} // namespace
 
 FlightRecorder &
 FlightRecorder::instance()
@@ -131,59 +113,31 @@ FlightRecorder::toJson(std::size_t maxSnapshots) const
         first = ring_.size() - maxSnapshots;
 
     std::ostringstream out;
-    out << "{\"capacity\":" << config_.capacity
-        << ",\"captured\":" << captured_
-        << ",\"dropped\":" << droppedSnapshots_ << ",\"snapshots\":[";
+    json::Writer w(out);
+    w.beginObject().field("capacity", config_.capacity);
+    w.field("captured", captured_).field("dropped", droppedSnapshots_);
+    w.key("snapshots").beginArray();
     for (std::size_t i = first; i < ring_.size(); ++i) {
         const Snapshot &snap = ring_[i];
-        if (i != first)
-            out << ',';
-        out << "{\"t\":" << snap.at << ",\"counters\":{";
-        bool firstEntry = true;
-        for (const auto &[key, delta] : snap.counterDeltas) {
-            if (!firstEntry)
-                out << ',';
-            firstEntry = false;
-            out << '"';
-            jsonEscape(out, key);
-            out << "\":" << delta;
-        }
-        out << "},\"gauges\":{";
-        firstEntry = true;
-        for (const auto &[key, value] : snap.gauges) {
-            if (!firstEntry)
-                out << ',';
-            firstEntry = false;
-            out << '"';
-            jsonEscape(out, key);
-            out << "\":";
-            writeNumber(out, value);
-        }
-        out << "},\"histograms\":{";
-        firstEntry = true;
+        w.beginObject().field("t", snap.at).key("counters").beginObject();
+        for (const auto &[key, delta] : snap.counterDeltas)
+            w.field(key, delta);
+        w.endObject().key("gauges").beginObject();
+        for (const auto &[key, value] : snap.gauges)
+            w.field(key, value);
+        w.endObject().key("histograms").beginObject();
         for (const auto &[key, summary] : snap.histograms) {
-            if (!firstEntry)
-                out << ',';
-            firstEntry = false;
-            out << '"';
-            jsonEscape(out, key);
-            out << "\":{\"n\":" << summary.count
-                << ",\"min\":" << summary.min
-                << ",\"max\":" << summary.max << ",\"p50\":";
-            writeNumber(out, summary.p50);
-            out << ",\"p90\":";
-            writeNumber(out, summary.p90);
-            out << ",\"p99\":";
-            writeNumber(out, summary.p99);
-            out << ",\"p999\":";
-            writeNumber(out, summary.p999);
+            w.key(key).beginObject().field("n", summary.count);
+            w.field("min", summary.min).field("max", summary.max);
+            w.field("p50", summary.p50).field("p90", summary.p90);
+            w.field("p99", summary.p99).field("p999", summary.p999);
             if (summary.overflow)
-                out << ",\"overflow\":" << summary.overflow;
-            out << '}';
+                w.field("overflow", summary.overflow);
+            w.endObject();
         }
-        out << "}}";
+        w.endObject().endObject();
     }
-    out << "]}";
+    w.endArray().endObject();
     return out.str();
 }
 

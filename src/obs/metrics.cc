@@ -1,11 +1,10 @@
 #include "obs/metrics.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <sstream>
 
-#include "obs/json.hh"
+#include "common/json.hh"
 
 namespace hydra::obs {
 
@@ -16,36 +15,6 @@ sortedLabels(Labels labels)
 {
     std::sort(labels.begin(), labels.end());
     return labels;
-}
-
-void
-writeLabels(std::ostringstream &out, const Labels &labels)
-{
-    out << '{';
-    bool first = true;
-    for (const auto &[key, value] : labels) {
-        if (!first)
-            out << ',';
-        first = false;
-        out << '"';
-        jsonEscape(out, key);
-        out << "\":\"";
-        jsonEscape(out, value);
-        out << '"';
-    }
-    out << '}';
-}
-
-void
-writeNumber(std::ostringstream &out, double value)
-{
-    if (std::isfinite(value)) {
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "%.6g", value);
-        out << buf;
-    } else {
-        out << "0";
-    }
 }
 
 } // namespace
@@ -234,71 +203,46 @@ MetricsRegistry::toJson() const
     collect();
     std::lock_guard<std::mutex> lock(mutex_);
     std::ostringstream out;
-    out << "{\"counters\":[";
-    for (std::size_t i = 0; i < counters_.size(); ++i) {
-        const auto &entry = counters_[i];
-        if (i)
-            out << ',';
-        out << "{\"name\":\"";
-        jsonEscape(out, entry.name);
-        out << "\",\"labels\":";
-        writeLabels(out, entry.labels);
-        out << ",\"value\":" << entry.instrument->value() << '}';
+    json::Writer w(out);
+    const auto head = [&w](const auto &entry) {
+        w.beginObject().field("name", entry.name).key("labels");
+        w.beginObject();
+        for (const auto &[key, value] : entry.labels)
+            w.field(key, value);
+        w.endObject();
+    };
+    w.beginObject().key("counters").beginArray();
+    for (const auto &entry : counters_) {
+        head(entry);
+        w.field("value", entry.instrument->value()).endObject();
     }
-    out << "],\"gauges\":[";
-    for (std::size_t i = 0; i < gauges_.size(); ++i) {
-        const auto &entry = gauges_[i];
-        if (i)
-            out << ',';
-        out << "{\"name\":\"";
-        jsonEscape(out, entry.name);
-        out << "\",\"labels\":";
-        writeLabels(out, entry.labels);
-        out << ",\"value\":";
-        writeNumber(out, entry.instrument->value());
-        out << '}';
+    w.endArray().key("gauges").beginArray();
+    for (const auto &entry : gauges_) {
+        head(entry);
+        w.field("value", entry.instrument->value()).endObject();
     }
-    out << "],\"histograms\":[";
-    for (std::size_t i = 0; i < histograms_.size(); ++i) {
-        const auto &entry = histograms_[i];
+    w.endArray().key("histograms").beginArray();
+    for (const auto &entry : histograms_) {
         const LatencyHistogram &h = *entry.instrument;
-        if (i)
-            out << ',';
-        out << "{\"name\":\"";
-        jsonEscape(out, entry.name);
-        out << "\",\"labels\":";
-        writeLabels(out, entry.labels);
-        out << ",\"unit\":\"ns\",\"count\":" << h.count()
-            << ",\"sum\":" << h.sum() << ",\"min\":" << h.min()
-            << ",\"max\":" << h.max() << ",\"mean\":";
-        writeNumber(out, h.mean());
-        out << ",\"p50\":";
-        writeNumber(out, h.percentile(50.0));
-        out << ",\"p90\":";
-        writeNumber(out, h.percentile(90.0));
-        out << ",\"p99\":";
-        writeNumber(out, h.percentile(99.0));
-        out << ",\"p999\":";
-        writeNumber(out, h.percentile(99.9));
-        out << ",\"overflow\":" << h.overflowCount();
-        out << ",\"buckets\":[";
-        bool first = true;
+        head(entry);
+        w.field("unit", "ns").field("count", h.count());
+        w.field("sum", h.sum()).field("min", h.min()).field("max", h.max());
+        w.field("mean", h.mean()).field("p50", h.percentile(50.0));
+        w.field("p90", h.percentile(90.0)).field("p99", h.percentile(99.0));
+        w.field("p999", h.percentile(99.9));
+        w.field("overflow", h.overflowCount()).key("buckets").beginArray();
         for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
             const std::uint64_t n = h.bucketCount(b);
             if (n == 0)
                 continue;
-            if (!first)
-                out << ',';
-            first = false;
-            out << "{\"le\":"
-                << (b >= Histogram::kOverflowBucket
-                        ? h.max()
-                        : Histogram::bucketUpperBound(b) - 1)
-                << ",\"count\":" << n << '}';
+            const std::uint64_t le = b >= Histogram::kOverflowBucket
+                                         ? h.max()
+                                         : Histogram::bucketUpperBound(b) - 1;
+            w.beginObject().field("le", le).field("count", n).endObject();
         }
-        out << "]}";
+        w.endArray().endObject();
     }
-    out << "]}";
+    w.endArray().endObject();
     return out.str();
 }
 

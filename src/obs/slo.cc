@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "common/json.hh"
-#include "obs/json.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 
@@ -314,25 +313,17 @@ SloEngine::toJson() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     std::ostringstream out;
-    out << "{\"rules\":[";
-    bool firstRule = true;
-    for (const SloRule &rule : rules_) {
-        if (!firstRule)
-            out << ',';
-        firstRule = false;
-        out << "{\"name\":";
-        writeJsonString(out, rule.name);
-        out << ",\"kind\":";
-        writeJsonString(out, kindName(rule.kind));
-        out << ",\"metric\":";
-        writeJsonString(out, rule.metric);
-        out << ",\"violations\":" << rule.violations
-            << ",\"last_observed\":" << rule.lastObserved << '}';
-    }
+    json::Writer w(out);
+    w.beginObject().key("rules").beginArray();
     std::uint64_t total = 0;
-    for (const SloRule &rule : rules_)
+    for (const SloRule &rule : rules_) {
         total += rule.violations;
-    out << "],\"total_violations\":" << total << '}';
+        w.beginObject().field("name", rule.name);
+        w.field("kind", kindName(rule.kind)).field("metric", rule.metric);
+        w.field("violations", rule.violations);
+        w.field("last_observed", rule.lastObserved).endObject();
+    }
+    w.endArray().field("total_violations", total).endObject();
     return out.str();
 }
 

@@ -1,12 +1,10 @@
 #include "obs/trace.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
-#include "obs/json.hh"
+#include "common/json.hh"
 #include "obs/metrics.hh"
 
 namespace hydra::obs {
@@ -14,14 +12,22 @@ namespace hydra::obs {
 namespace {
 
 /** trace_event timestamps are microseconds; keep ns as fractions. */
-void
-writeTimestamp(std::ostream &out, sim::SimTime ns)
+std::string
+micros(sim::SimTime ns)
 {
     char buf[48];
     std::snprintf(buf, sizeof(buf), "%llu.%03llu",
                   static_cast<unsigned long long>(ns / 1000),
                   static_cast<unsigned long long>(ns % 1000));
-    out << buf;
+    return buf;
+}
+
+/** Closing "otherData" member and brace shared by both exports. */
+void
+writeOtherData(json::Writer &w, std::uint64_t overwritten)
+{
+    w.key("otherData").beginObject().field("clock", "simulated");
+    w.field("overwritten", overwritten).endObject().endObject();
 }
 
 } // namespace
@@ -188,29 +194,26 @@ void
 Tracer::writeJson(std::ostream &out) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-    bool first = true;
+    json::Writer w(out);
+    w.beginObject().field("displayTimeUnit", "ms").key("traceEvents")
+        .beginArray();
 
     // Lane metadata first, so Perfetto names every track: one
     // process_name per distinct pid, one thread_name per lane.
+    const auto metadata = [&w](const char *kind, int pid, int tid,
+                               const std::string &name) {
+        w.beginObject().field("ph", "M").field("name", kind);
+        w.field("pid", pid).field("tid", tid).key("args").beginObject();
+        w.field("name", name).endObject().endObject();
+    };
     std::vector<int> namedPids;
     for (const LaneName &lane : lanes_) {
-        if (!first)
-            out << ',';
-        first = false;
         if (std::find(namedPids.begin(), namedPids.end(),
                       lane.lane.pid) == namedPids.end()) {
             namedPids.push_back(lane.lane.pid);
-            out << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":"
-                << lane.lane.pid << ",\"tid\":0,\"args\":{\"name\":\"";
-            jsonEscape(out, lane.process);
-            out << "\"}},";
+            metadata("process_name", lane.lane.pid, 0, lane.process);
         }
-        out << "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":"
-            << lane.lane.pid << ",\"tid\":" << lane.lane.tid
-            << ",\"args\":{\"name\":\"";
-        jsonEscape(out, lane.thread);
-        out << "\"}}";
+        metadata("thread_name", lane.lane.pid, lane.lane.tid, lane.thread);
     }
 
     // The ring is a circular buffer; emit in recording order.
@@ -218,50 +221,40 @@ Tracer::writeJson(std::ostream &out) const
     const std::size_t start = n < capacity_ ? 0 : total_ % capacity_;
     for (std::size_t i = 0; i < n; ++i) {
         const TraceEvent &event = ring_[(start + i) % n];
-        if (!first)
-            out << ',';
-        first = false;
-        out << "{\"name\":\"";
-        jsonEscape(out, event.name);
-        out << "\",\"ph\":\"" << event.phase << "\",\"ts\":";
-        writeTimestamp(out, event.ts);
-        out << ",\"pid\":" << event.pid << ",\"tid\":" << event.tid;
-        if (!event.category.empty()) {
-            out << ",\"cat\":\"";
-            jsonEscape(out, event.category);
-            out << '"';
-        }
+        w.beginObject().field("name", event.name);
+        w.field("ph", std::string_view(&event.phase, 1));
+        w.key("ts").raw(micros(event.ts));
+        w.field("pid", event.pid).field("tid", event.tid);
+        if (!event.category.empty())
+            w.field("cat", event.category);
         if (event.phase == 'X') {
-            out << ",\"dur\":";
-            writeTimestamp(out, event.dur);
+            w.key("dur").raw(micros(event.dur));
             if (event.spanId != 0) {
-                out << ",\"args\":{\"trace_id\":" << event.traceId
-                    << ",\"span_id\":" << event.spanId
-                    << ",\"parent_id\":" << event.parentId << '}';
+                w.key("args").beginObject().field("trace_id", event.traceId);
+                w.field("span_id", event.spanId);
+                w.field("parent_id", event.parentId).endObject();
             }
         } else if (event.phase == 'i') {
-            out << ",\"s\":\"t\"";
+            w.field("s", "t");
         } else if (event.phase == 'C') {
-            char buf[48];
-            std::snprintf(buf, sizeof(buf), "%.6g", event.value);
-            out << ",\"args\":{\"value\":" << buf << '}';
+            w.key("args").beginObject().field("value", event.value);
+            w.endObject();
         }
-        out << '}';
+        w.endObject();
 
         // Legacy flow events bound by trace id stitch a trace's spans
         // into one arrow chain across lanes. The flow point sits at
         // the slice midpoint so Perfetto attaches it to the slice.
         if (event.phase == 'X' && event.spanId != 0) {
-            out << ",{\"name\":\"trace\",\"cat\":\"flow\",\"ph\":\""
-                << (event.parentId == 0 ? 's' : 't')
-                << "\",\"id\":" << event.traceId << ",\"ts\":";
-            writeTimestamp(out, event.ts + event.dur / 2);
-            out << ",\"pid\":" << event.pid << ",\"tid\":" << event.tid
-                << '}';
+            w.beginObject().field("name", "trace").field("cat", "flow");
+            w.field("ph", event.parentId == 0 ? "s" : "t");
+            w.field("id", event.traceId);
+            w.key("ts").raw(micros(event.ts + event.dur / 2));
+            w.field("pid", event.pid).field("tid", event.tid).endObject();
         }
     }
-    out << "],\"otherData\":{\"clock\":\"simulated\",\"overwritten\":"
-        << (total_ > n ? total_ - n : 0) << "}}";
+    w.endArray();
+    writeOtherData(w, total_ > n ? total_ - n : 0);
 }
 
 bool
@@ -279,21 +272,14 @@ void
 Tracer::writeSpansJson(std::ostream &out) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    out << "{\"spans\":[";
+    json::Writer w(out);
+    w.beginObject().key("spans").beginArray();
     const std::size_t n = ring_.size();
     const std::size_t start = n < capacity_ ? 0 : total_ % capacity_;
-    bool first = true;
     for (std::size_t i = 0; i < n; ++i) {
         const TraceEvent &event = ring_[(start + i) % n];
         if (event.phase != 'X' || event.spanId == 0)
             continue;
-        if (!first)
-            out << ',';
-        first = false;
-        out << "{\"name\":";
-        writeJsonString(out, event.name);
-        out << ",\"cat\":";
-        writeJsonString(out, event.category);
         std::string site;
         for (const LaneName &lane : lanes_) {
             if (lane.lane.pid == event.pid && lane.lane.tid == event.tid) {
@@ -301,15 +287,14 @@ Tracer::writeSpansJson(std::ostream &out) const
                 break;
             }
         }
-        out << ",\"site\":";
-        writeJsonString(out, site);
-        out << ",\"ts_ns\":" << event.ts << ",\"dur_ns\":" << event.dur
-            << ",\"trace_id\":" << event.traceId
-            << ",\"span_id\":" << event.spanId
-            << ",\"parent_id\":" << event.parentId << '}';
+        w.beginObject().field("name", event.name);
+        w.field("cat", event.category).field("site", site);
+        w.field("ts_ns", event.ts).field("dur_ns", event.dur);
+        w.field("trace_id", event.traceId).field("span_id", event.spanId);
+        w.field("parent_id", event.parentId).endObject();
     }
-    out << "],\"otherData\":{\"clock\":\"simulated\",\"overwritten\":"
-        << (total_ > n ? total_ - n : 0) << "}}";
+    w.endArray();
+    writeOtherData(w, total_ > n ? total_ - n : 0);
 }
 
 bool

@@ -44,6 +44,13 @@ seconds(std::uint64_t n)
     return n * kSecond;
 }
 
+/** Largest count of @p unit that still fits a SimTime. */
+constexpr std::uint64_t
+maxCount(SimTime unit)
+{
+    return ~SimTime{0} / unit;
+}
+
 constexpr double
 toSeconds(SimTime t)
 {

@@ -1,11 +1,16 @@
 /**
  * @file
  * Unit tests for the common module: Result/Status, GUIDs, byte
- * serialization, statistics, strings, and the deterministic RNG.
+ * serialization, statistics, strings, the deterministic RNG, and the
+ * JSON writer and parser (including a seeded round-trip and mutation
+ * corpus).
  */
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -17,6 +22,7 @@
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/strings.hh"
+#include "json_checker.hh"
 
 namespace hydra {
 namespace {
@@ -464,6 +470,228 @@ TEST(JsonTest, RejectsMalformedDocuments)
     EXPECT_FALSE(json::parse("\"unterminated").ok());
     EXPECT_FALSE(json::parse("{} trailing").ok());
     EXPECT_FALSE(json::parse("nul").ok());
+}
+
+TEST(JsonWriterTest, SharedEscaperHandlesControlAndQuoteCharacters)
+{
+    std::ostringstream out;
+    json::Writer(out).value("a\"b\\c\n\r\t\b\f\x01z");
+    const std::string text = out.str();
+    EXPECT_EQ(text, "\"a\\\"b\\\\c\\n\\r\\t\\b\\f\\u0001z\"");
+
+    testutil::JsonChecker checker(text);
+    EXPECT_TRUE(checker.valid()) << text;
+}
+
+TEST(JsonWriterTest, SharedEscaperPassesHighBytesThrough)
+{
+    // UTF-8 multibyte sequences (bytes >= 0x80) must pass through
+    // unescaped; a signed-char comparison would mangle them into
+    // bogus \uffxx escapes.
+    const std::string utf8 = "caf\xc3\xa9";
+    std::ostringstream out;
+    json::Writer(out).value(utf8);
+    EXPECT_EQ(out.str(), "\"" + utf8 + "\"");
+}
+
+TEST(JsonWriterTest, CommasNumbersAndRawValues)
+{
+    std::ostringstream out;
+    json::Writer w(out);
+    w.beginObject()
+        .field("u", std::numeric_limits<std::uint64_t>::max())
+        .field("i", -7)
+        .field("d", 0.1 + 0.2)
+        .field("big", 1234567.0)
+        .field("nan", std::nan(""))
+        .field("inf", -std::numeric_limits<double>::infinity())
+        .field("b", false)
+        .key("raw")
+        .raw("1.500")
+        .key("a")
+        .beginArray()
+        .beginObject()
+        .endObject()
+        .beginArray()
+        .endArray()
+        .value("x")
+        .endArray()
+        .endObject();
+    EXPECT_EQ(out.str(),
+              "{\"u\":18446744073709551615,\"i\":-7,\"d\":0.3,"
+              "\"big\":1.23457e+06,\"nan\":0,\"inf\":0,\"b\":false,"
+              "\"raw\":1.500,\"a\":[{},[],\"x\"]}");
+}
+
+// Seeded round-trip and mutation corpus for the writer and parser: a
+// plain loop over random documents, no fuzzing engine.
+namespace jsoncorpus {
+
+std::string
+randomString(Rng &rng)
+{
+    std::string text;
+    const auto length = rng.uniformInt(0, 12);
+    for (std::int64_t i = 0; i < length; ++i) {
+        switch (rng.uniformInt(0, 4)) {
+          case 0:
+            text.push_back(static_cast<char>(rng.uniformInt(0, 0x1f)));
+            break;
+          case 1: text.push_back(rng.chance(0.5) ? '"' : '\\'); break;
+          case 2:
+            text.push_back(static_cast<char>(rng.uniformInt(0x80, 0xff)));
+            break;
+          default:
+            text.push_back(static_cast<char>(rng.uniformInt(0x20, 0x7e)));
+        }
+    }
+    return text;
+}
+
+/** A random value; numbers are exact both as integers and in %.6g. */
+json::Value
+randomValue(Rng &rng, int depth)
+{
+    json::Value value;
+    const std::int64_t pick = rng.uniformInt(depth >= 4 ? 2 : 0, 6);
+    if (pick <= 1) {
+        value.kind = pick == 0 ? json::Value::Kind::Object
+                               : json::Value::Kind::Array;
+        const auto members = rng.uniformInt(0, 4);
+        for (std::int64_t i = 0; i < members; ++i) {
+            if (pick == 0)
+                value.object.emplace_back(randomString(rng),
+                                          randomValue(rng, depth + 1));
+            else
+                value.array.push_back(randomValue(rng, depth + 1));
+        }
+    } else if (pick == 2) {
+        value.kind = json::Value::Kind::String;
+        value.string = randomString(rng);
+    } else if (pick == 3) {
+        value.kind = json::Value::Kind::Number;
+        const std::int64_t limit = std::int64_t{1} << 53;
+        value.number = static_cast<double>(rng.uniformInt(-limit, limit));
+    } else if (pick == 4) {
+        value.kind = json::Value::Kind::Number;
+        value.number = static_cast<double>(rng.uniformInt(-9999, 9999)) / 4;
+    } else if (pick == 5) {
+        value.kind = json::Value::Kind::Bool;
+        value.boolean = rng.chance(0.5);
+    }
+    return value;
+}
+
+void
+write(json::Writer &w, const json::Value &value)
+{
+    switch (value.kind) {
+      case json::Value::Kind::Null: w.raw("null"); break;
+      case json::Value::Kind::Bool: w.value(value.boolean); break;
+      case json::Value::Kind::Number:
+        if (value.number == std::floor(value.number))
+            w.value(static_cast<std::int64_t>(value.number));
+        else
+            w.value(value.number);
+        break;
+      case json::Value::Kind::String: w.value(value.string); break;
+      case json::Value::Kind::Array:
+        w.beginArray();
+        for (const json::Value &element : value.array)
+            write(w, element);
+        w.endArray();
+        break;
+      case json::Value::Kind::Object:
+        w.beginObject();
+        for (const auto &[key, member] : value.object) {
+            w.key(key);
+            write(w, member);
+        }
+        w.endObject();
+        break;
+    }
+}
+
+bool
+equal(const json::Value &a, const json::Value &b)
+{
+    if (a.kind != b.kind || a.boolean != b.boolean ||
+        a.number != b.number || a.string != b.string ||
+        a.array.size() != b.array.size() ||
+        a.object.size() != b.object.size())
+        return false;
+    for (std::size_t i = 0; i < a.array.size(); ++i)
+        if (!equal(a.array[i], b.array[i]))
+            return false;
+    for (std::size_t i = 0; i < a.object.size(); ++i)
+        if (a.object[i].first != b.object[i].first ||
+            !equal(a.object[i].second, b.object[i].second))
+            return false;
+    return true;
+}
+
+} // namespace jsoncorpus
+
+TEST(JsonCorpusTest, SeededDocumentsRoundTripAndMutationsNeverCrash)
+{
+    Rng rng(17);
+    int escapesCut = 0;
+    for (int doc = 0; doc < 500; ++doc) {
+        json::Value original;
+        original.kind = rng.chance(0.5) ? json::Value::Kind::Object
+                                        : json::Value::Kind::Array;
+        for (std::int64_t i = rng.uniformInt(1, 5); i > 0; --i) {
+            json::Value member = jsoncorpus::randomValue(rng, 1);
+            if (original.isObject())
+                original.object.emplace_back(jsoncorpus::randomString(rng),
+                                             std::move(member));
+            else
+                original.array.push_back(std::move(member));
+        }
+        std::ostringstream out;
+        json::Writer w(out);
+        jsoncorpus::write(w, original);
+        const std::string text = out.str();
+
+        auto parsed = json::parse(text);
+        ASSERT_TRUE(parsed.ok()) << parsed.error().describe() << "\n"
+                                 << text;
+        ASSERT_TRUE(jsoncorpus::equal(parsed.value(), original)) << text;
+
+        // A strict prefix of an object or array is never a document.
+        const auto last = static_cast<std::int64_t>(text.size()) - 1;
+        for (int cut = 0; cut < 3; ++cut) {
+            const auto length =
+                static_cast<std::size_t>(rng.uniformInt(0, last));
+            EXPECT_FALSE(json::parse(text.substr(0, length)).ok())
+                << text.substr(0, length);
+        }
+
+        // One flipped byte anywhere: parses or fails, never crashes.
+        std::string flipped = text;
+        const auto at = static_cast<std::size_t>(rng.uniformInt(0, last));
+        flipped[at] = static_cast<char>(
+            flipped[at] ^ static_cast<char>(rng.uniformInt(1, 255)));
+        auto mutated = json::parse(flipped);
+        if (!mutated.ok()) {
+            EXPECT_FALSE(mutated.error().message.empty());
+        }
+
+        // A \u escape cut short, either at the end of the text or with
+        // the rest of the document kept after it, is always an error.
+        const std::size_t escape = text.find("\\u00");
+        if (escape != std::string::npos) {
+            ++escapesCut;
+            const auto digits =
+                static_cast<std::size_t>(rng.uniformInt(0, 3));
+            const std::string head = text.substr(0, escape + 2 + digits);
+            EXPECT_FALSE(json::parse(head).ok()) << head;
+            const std::string spliced =
+                head + "\"" + text.substr(escape + 6);
+            EXPECT_FALSE(json::parse(spliced).ok()) << spliced;
+        }
+    }
+    EXPECT_GT(escapesCut, 100);
 }
 
 TEST(SparklineTest, DegenerateSeriesStaySane)

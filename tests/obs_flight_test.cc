@@ -188,6 +188,37 @@ TEST_F(FlightTest, SimExecutorFlightJsonIsDeterministic)
               std::string::npos);
 }
 
+/** Snapshot count of a hydra.Monitor "Flight" reply over OOB. */
+std::size_t
+flightReplySnapshots(tivo::Testbed &testbed, const std::string &args)
+{
+    core::Runtime *runtime = testbed.clientRuntime();
+    EXPECT_NE(runtime, nullptr);
+    if (!runtime)
+        return 0;
+    std::string reply;
+    bool replied = false;
+    Status sent = runtime->invokeAsync(
+        "hydra.Monitor", "Flight", Bytes(args.begin(), args.end()),
+        [&](Result<Bytes> result) {
+            ASSERT_TRUE(result) << result.error().describe();
+            reply.assign(result.value().begin(), result.value().end());
+            replied = true;
+        });
+    EXPECT_TRUE(sent) << sent.error().describe();
+    exec::Executor &engine = testbed.executor();
+    engine.runUntil(engine.now() + sim::milliseconds(100));
+
+    EXPECT_TRUE(replied) << "Flight reply never arrived over OOB";
+    auto doc = json::parse(reply);
+    EXPECT_TRUE(doc) << doc.error().describe();
+    if (!doc)
+        return 0;
+    const json::Value *snapshots = doc.value().find("snapshots");
+    EXPECT_NE(snapshots, nullptr);
+    return snapshots ? snapshots->array.size() : 0;
+}
+
 TEST_F(FlightTest, MonitorFlightMethodStreamsBoundedTail)
 {
     obs::MetricsRegistry::instance().reset();
@@ -195,27 +226,27 @@ TEST_F(FlightTest, MonitorFlightMethodStreamsBoundedTail)
     tivo::Testbed testbed(shortScenario());
     testbed.run();
 
-    core::Runtime *runtime = testbed.clientRuntime();
-    ASSERT_NE(runtime, nullptr);
-    std::string reply;
-    bool replied = false;
-    Status sent = runtime->invokeAsync(
-        "hydra.Monitor", "Flight", Bytes{'2'},
-        [&](Result<Bytes> result) {
-            ASSERT_TRUE(result) << result.error().describe();
-            reply.assign(result.value().begin(), result.value().end());
-            replied = true;
-        });
-    ASSERT_TRUE(sent) << sent.error().describe();
-    exec::Executor &engine = testbed.executor();
-    engine.runUntil(engine.now() + sim::milliseconds(100));
+    EXPECT_EQ(flightReplySnapshots(testbed, "2"), 2u)
+        << "tail arg not honored";
+}
 
-    ASSERT_TRUE(replied) << "Flight reply never arrived over OOB";
-    auto doc = json::parse(reply);
-    ASSERT_TRUE(doc) << doc.error().describe();
-    const json::Value *snapshots = doc.value().find("snapshots");
-    ASSERT_NE(snapshots, nullptr);
-    EXPECT_EQ(snapshots->array.size(), 2u) << "tail arg not honored";
+TEST_F(FlightTest, MonitorFlightBadTailKeepsDefault)
+{
+    // A two-snapshot ring: the default tail (6) returns both, inside
+    // the OOB channel's 8 KiB message cap, while a tail of 1 would not.
+    obs::MetricsRegistry::instance().reset();
+    FlightConfig config;
+    config.capacity = 2;
+    FlightRecorder::instance().configure(config);
+    tivo::Testbed testbed(shortScenario());
+    testbed.run();
+    ASSERT_EQ(FlightRecorder::instance().size(), 2u);
+
+    // 2^64 + 1 wrapped to a tail of 1 under a hand-rolled digit loop.
+    for (const char *bad : {"18446744073709551617", "0", "abc", ""}) {
+        EXPECT_EQ(flightReplySnapshots(testbed, bad), 2u)
+            << "tail arg '" << bad << "'";
+    }
 }
 
 } // namespace

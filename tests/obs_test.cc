@@ -16,7 +16,6 @@
 
 #include "json_checker.hh"
 #include "obs/attribution.hh"
-#include "obs/json.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 
@@ -307,29 +306,7 @@ TEST_F(ObsTest, RingOverflowCountsDroppedEventsMetric)
               6u);
 }
 
-// ------------------------------------------------- shared JSON escaper
-
-TEST_F(ObsTest, SharedEscaperHandlesControlAndQuoteCharacters)
-{
-    std::ostringstream out;
-    obs::writeJsonString(out, "a\"b\\c\n\r\t\b\f\x01z");
-    const std::string json = out.str();
-    EXPECT_EQ(json, "\"a\\\"b\\\\c\\n\\r\\t\\b\\f\\u0001z\"");
-
-    JsonChecker checker(json);
-    EXPECT_TRUE(checker.valid()) << json;
-}
-
-TEST_F(ObsTest, SharedEscaperPassesHighBytesThrough)
-{
-    // UTF-8 multibyte sequences (bytes >= 0x80) must pass through
-    // unescaped; a signed-char comparison would mangle them into
-    // bogus \uffxx escapes.
-    const std::string utf8 = "caf\xc3\xa9";
-    std::ostringstream out;
-    obs::writeJsonString(out, utf8);
-    EXPECT_EQ(out.str(), "\"" + utf8 + "\"");
-}
+// ----------------------------------------------------- JSON escaping
 
 TEST_F(ObsTest, MetricsJsonEscapesControlCharactersInLabels)
 {

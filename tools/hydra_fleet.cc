@@ -27,9 +27,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iostream>
+#include <limits>
 #include <string>
 
 #include "chaos/chaos.hh"
+#include "common/json.hh"
 #include "common/strings.hh"
 #include "exec/executor.hh"
 #include "fleet/fleet.hh"
@@ -57,15 +60,18 @@ usage(const char *argv0)
     return 2;
 }
 
+constexpr long long kNoMax = std::numeric_limits<long long>::max();
+
 /**
- * Strict integer flag value, at least @p lo: non-digits and values
- * that overflow fail instead of wrapping.
+ * Strict integer flag value in [lo, hi]: non-digits, out-of-range and
+ * overflowing values fail instead of wrapping.
  */
 bool
-parseIntFlag(const char *value, long long lo, std::uint64_t &out)
+parseIntFlag(const char *value, long long lo, long long hi,
+             std::uint64_t &out)
 {
     long long parsed = 0;
-    if (!value || !parseInt(value, parsed) || parsed < lo)
+    if (!value || !parseInt(value, parsed) || parsed < lo || parsed > hi)
         return false;
     out = static_cast<std::uint64_t>(parsed);
     return true;
@@ -121,39 +127,28 @@ printTable(const fleet::LoadgenReport &report)
 void
 printJson(const fleet::LoadgenReport &report)
 {
-    std::printf("{\n");
-    std::printf("  \"hosts\": %zu,\n", report.hosts);
-    std::printf("  \"streams\": %zu,\n", report.streams);
-    std::printf("  \"remote_streams\": %zu,\n", report.remoteStreams);
-    std::printf("  \"offered\": %llu,\n",
-                static_cast<unsigned long long>(report.offered));
-    std::printf("  \"delivered\": %llu,\n",
-                static_cast<unsigned long long>(report.delivered));
-    std::printf("  \"churned\": %llu,\n",
-                static_cast<unsigned long long>(report.churned));
-    std::printf("  \"write_failures\": %llu,\n",
-                static_cast<unsigned long long>(report.writeFailures));
-    std::printf("  \"wire_copies\": %llu,\n",
-                static_cast<unsigned long long>(report.wireCopies));
-    std::printf("  \"delivered_per_virtual_sec\": %.1f,\n",
-                report.deliveredPerVirtualSec);
-    std::printf("  \"latency_ns\": {\"p50\": %.1f, \"p99\": %.1f, "
-                "\"p999\": %.1f, \"max\": %llu, \"count\": %llu},\n",
-                report.latency.p50, report.latency.p99,
-                report.latency.p999,
-                static_cast<unsigned long long>(report.latency.max),
-                static_cast<unsigned long long>(report.latency.count));
-    std::printf("  \"per_host\": [");
-    for (std::size_t i = 0; i < report.perHost.size(); ++i) {
-        const auto &slice = report.perHost[i];
-        std::printf("%s\n    {\"host\": \"%s\", \"streams\": %zu, "
-                    "\"delivered\": %llu, \"busy_ns\": %llu}",
-                    i ? "," : "", slice.host.c_str(),
-                    slice.streamsHomed,
-                    static_cast<unsigned long long>(slice.delivered),
-                    static_cast<unsigned long long>(slice.busyNs));
+    json::Writer w(std::cout);
+    w.beginObject().field("hosts", report.hosts);
+    w.field("streams", report.streams);
+    w.field("remote_streams", report.remoteStreams);
+    w.field("offered", report.offered).field("delivered", report.delivered);
+    w.field("churned", report.churned);
+    w.field("write_failures", report.writeFailures);
+    w.field("wire_copies", report.wireCopies);
+    w.field("delivered_per_virtual_sec", report.deliveredPerVirtualSec);
+    const obs::HistogramSummary &latency = report.latency;
+    w.key("latency_ns").beginObject().field("p50", latency.p50);
+    w.field("p99", latency.p99).field("p999", latency.p999);
+    w.field("max", latency.max).field("count", latency.count).endObject();
+    w.key("per_host").beginArray();
+    for (const auto &slice : report.perHost) {
+        w.beginObject().field("host", slice.host);
+        w.field("streams", slice.streamsHomed);
+        w.field("delivered", slice.delivered);
+        w.field("busy_ns", slice.busyNs).endObject();
     }
-    std::printf("\n  ]\n}\n");
+    w.endArray().endObject();
+    std::cout << '\n';
 }
 
 } // namespace
@@ -174,29 +169,39 @@ main(int argc, char **argv)
         const std::string arg = argv[i];
         const char *value = i + 1 < argc ? argv[i + 1] : nullptr;
         std::uint64_t parsed = 0;
-        if (arg == "--hosts" && parseIntFlag(value, 1, parsed)) {
+        if (arg == "--hosts" && parseIntFlag(value, 1, kNoMax, parsed)) {
             fleetConfig.hosts = parsed;
             ++i;
-        } else if (arg == "--streams" && parseIntFlag(value, 1, parsed)) {
+        } else if (arg == "--streams" &&
+                   parseIntFlag(value, 1, kNoMax, parsed)) {
             load.streams = parsed;
             ++i;
-        } else if (arg == "--rate" && parseIntFlag(value, 0, parsed)) {
+        } else if (arg == "--rate" &&
+                   parseIntFlag(value, 0, kNoMax, parsed)) {
             load.offeredMsgsPerSec = static_cast<double>(parsed);
             ++i;
-        } else if (arg == "--bytes" && parseIntFlag(value, 8, parsed)) {
+        } else if (arg == "--bytes" &&
+                   parseIntFlag(value, 8, kNoMax, parsed)) {
             load.messageBytes = parsed;
             ++i;
         } else if (arg == "--duration-ms" &&
-                   parseIntFlag(value, 1, parsed)) {
+                   parseIntFlag(value, 1,
+                                sim::maxCount(sim::milliseconds(1)),
+                                parsed)) {
             durationMs = parsed;
             ++i;
-        } else if (arg == "--tick-us" && parseIntFlag(value, 1, parsed)) {
+        } else if (arg == "--tick-us" &&
+                   parseIntFlag(value, 1,
+                                sim::maxCount(sim::microseconds(1)),
+                                parsed)) {
             tickUs = parsed;
             ++i;
-        } else if (arg == "--churn" && parseIntFlag(value, 0, parsed)) {
+        } else if (arg == "--churn" &&
+                   parseIntFlag(value, 0, kNoMax, parsed)) {
             load.churnPerTick = parsed;
             ++i;
-        } else if (arg == "--seed" && parseIntFlag(value, 0, parsed)) {
+        } else if (arg == "--seed" &&
+                   parseIntFlag(value, 0, kNoMax, parsed)) {
             fleetConfig.seed = parsed;
             ++i;
         } else if (arg == "--executor" && value) {

@@ -40,6 +40,7 @@
 #include <string>
 
 #include "chaos/chaos.hh"
+#include "common/json.hh"
 #include "common/strings.hh"
 #include "core/runtime.hh"
 #include "obs/attribution.hh"
@@ -78,14 +79,6 @@ usage(const char *argv0)
 }
 
 constexpr long long kNoMax = std::numeric_limits<long long>::max();
-
-/** Largest count of a unit that still fits a SimTime. */
-constexpr long long
-maxCount(sim::SimTime unit)
-{
-    return static_cast<long long>(
-        std::numeric_limits<sim::SimTime>::max() / unit);
-}
 
 /**
  * Strict integer flag value in [lo, hi]. "abc", "1.5", "10x", "",
@@ -339,7 +332,7 @@ main(int argc, char **argv)
             config.batchMax = static_cast<std::size_t>(parsed);
         } else if (arg == "--seconds") {
             std::uint64_t parsed = 0;
-            if (!parseIntFlag(next(), 1, maxCount(sim::seconds(1)),
+            if (!parseIntFlag(next(), 1, sim::maxCount(sim::seconds(1)),
                               parsed))
                 return usage(argv[0]);
             config.duration = sim::seconds(parsed);
@@ -348,7 +341,7 @@ main(int argc, char **argv)
                 return usage(argv[0]);
         } else if (arg == "--period-ms") {
             std::uint64_t parsed = 0;
-            if (!parseIntFlag(next(), 1, maxCount(sim::milliseconds(1)),
+            if (!parseIntFlag(next(), 1, sim::maxCount(sim::milliseconds(1)),
                               parsed))
                 return usage(argv[0]);
             config.sendPeriod = sim::milliseconds(parsed);
@@ -415,7 +408,7 @@ main(int argc, char **argv)
             flightOut = value;
         } else if (arg == "--flight-interval-ms") {
             const char *value = next();
-            if (!parseIntFlag(value, 1, maxCount(sim::milliseconds(1)),
+            if (!parseIntFlag(value, 1, sim::maxCount(sim::milliseconds(1)),
                               flightIntervalMs)) {
                 std::fprintf(stderr,
                              "%s: --flight-interval-ms wants a positive "
@@ -653,11 +646,14 @@ main(int argc, char **argv)
                          introspectOut.c_str());
             return 1;
         }
-        out << "{\"server\":"
-            << queryIntrospection(testbed, testbed.serverRuntime())
-            << ",\"client\":"
-            << queryIntrospection(testbed, testbed.clientRuntime())
-            << "}\n";
+        json::Writer(out)
+            .beginObject()
+            .key("server")
+            .raw(queryIntrospection(testbed, testbed.serverRuntime()))
+            .key("client")
+            .raw(queryIntrospection(testbed, testbed.clientRuntime()))
+            .endObject();
+        out << '\n';
         std::printf("(wrote introspection to %s — view with "
                     "hydra_top %s)\n",
                     introspectOut.c_str(), introspectOut.c_str());
