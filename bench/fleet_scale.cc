@@ -15,12 +15,12 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <ctime>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "common/flags.hh"
 #include "common/json.hh"
 #include "exec/executor.hh"
 #include "fleet/fleet.hh"
@@ -72,17 +72,9 @@ main(int argc, char **argv)
 {
     bool full = false;
     std::string jsonOut;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--full") == 0) {
-            full = true;
-        } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-            jsonOut = argv[++i];
-        } else {
-            std::fprintf(stderr, "usage: %s [--full] [--json FILE]\n",
-                         argv[0]);
-            return 2;
-        }
-    }
+    parseFlags(argc, argv,
+               {switchFlag("--full", full),
+                stringFlag("--json", "FILE", jsonOut)});
 
     // Scale ladder (threaded executor, 4 hosts).
     std::printf("== scale ladder: 4 hosts, threaded executor, "

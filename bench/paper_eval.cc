@@ -24,6 +24,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "common/flags.hh"
 #include "tivo/harness.hh"
 
 namespace {
@@ -35,12 +36,17 @@ using namespace hydra::tivo;
 sim::SimTime
 benchDuration()
 {
-    if (const char *env = std::getenv("HYDRA_BENCH_SECONDS")) {
-        const long seconds = std::strtol(env, nullptr, 10);
-        if (seconds > 0)
-            return sim::seconds(static_cast<std::uint64_t>(seconds));
+    const char *env = std::getenv("HYDRA_BENCH_SECONDS");
+    if (!env)
+        return sim::seconds(600);
+    long long seconds = 0;
+    std::string why;
+    if (!parseIntIn(env, 1, sim::maxCount(sim::seconds(1)), seconds, why)) {
+        std::fprintf(stderr, "paper_eval: HYDRA_BENCH_SECONDS: %s, got '%s'\n",
+                     why.c_str(), env);
+        std::exit(2);
     }
-    return sim::seconds(600);
+    return sim::seconds(static_cast<std::uint64_t>(seconds));
 }
 
 /** The standard testbed configuration for one scenario. */

@@ -1,7 +1,6 @@
 #include "chaos/chaos.hh"
 
-#include <cstdlib>
-
+#include "common/strings.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 
@@ -21,52 +20,20 @@ constexpr std::uint64_t kStreamSalt[] = {
     0x72696e67ull << 16, // ring
 };
 
+/**
+ * A duration in ms (fractions allowed): > 0, and bounded before the
+ * conversion so its ns count fits a SimTime.
+ */
 bool
-parseProbability(const std::string &value, double &out)
+parseMs(const std::string &value, sim::SimTime &out)
 {
-    if (value.empty())
+    double ms = 0.0;
+    if (!parseDouble(value, ms) || !(ms > 0.0) ||
+        ms > static_cast<double>(sim::maxCount(sim::milliseconds(1))))
         return false;
-    char *end = nullptr;
-    const double parsed = std::strtod(value.c_str(), &end);
-    if (end == nullptr || *end != '\0')
-        return false;
-    if (!(parsed >= 0.0 && parsed <= 1.0))
-        return false;
-    out = parsed;
-    return true;
-}
-
-bool
-parsePositiveMs(const std::string &value, sim::SimTime &out)
-{
-    if (value.empty())
-        return false;
-    char *end = nullptr;
-    const double parsed = std::strtod(value.c_str(), &end);
-    if (end == nullptr || *end != '\0')
-        return false;
-    if (!(parsed > 0.0))
-        return false;
-    out = static_cast<sim::SimTime>(parsed *
+    out = static_cast<sim::SimTime>(ms *
                                     static_cast<double>(sim::kMillisecond));
     return out > 0;
-}
-
-bool
-parseUint(const std::string &value, std::uint64_t &out)
-{
-    if (value.empty())
-        return false;
-    // strtoull silently negates "-1"; digits only, no sign, no space.
-    for (const char c : value)
-        if (c < '0' || c > '9')
-            return false;
-    char *end = nullptr;
-    const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0')
-        return false;
-    out = parsed;
-    return true;
 }
 
 } // namespace
@@ -74,13 +41,17 @@ parseUint(const std::string &value, std::uint64_t &out)
 Result<ChaosSpec>
 parseChaosSpec(const std::string &text)
 {
+    auto invalid = [](const std::string &token, const char *what) {
+        return Result<ChaosSpec>(
+            Error(ErrorCode::InvalidArgument, "'" + token + "' " + what));
+    };
     ChaosSpec spec;
     const std::size_t colon = text.find(':');
     const std::string seedText = text.substr(0, colon);
-    if (!parseUint(seedText, spec.seed))
-        return {ErrorCode::InvalidArgument,
-                "--chaos seed must be a non-negative integer, got '" +
-                    seedText + "'"};
+    long long seed = 0;
+    if (!parseInt(seedText, seed) || seed < 0)
+        return invalid(seedText, "is not a seed in [0, 2^63-1]");
+    spec.seed = static_cast<std::uint64_t>(seed);
     if (colon == std::string::npos)
         return spec;
 
@@ -93,34 +64,25 @@ parseChaosSpec(const std::string &text)
             continue;
         const std::size_t eq = token.find('=');
         if (eq == std::string::npos)
-            return {ErrorCode::InvalidArgument,
-                    "--chaos token '" + token + "' is not key=value"};
+            return invalid(token, "is not key=value");
         const std::string key = token.substr(0, eq);
         const std::string value = token.substr(eq + 1);
 
         if (key.rfind("reset@", 0) == 0) {
             ScheduledReset reset;
-            sim::SimTime at = 0;
-            if (!parsePositiveMs(key.substr(6), at))
-                return {ErrorCode::InvalidArgument,
-                        "--chaos reset time in '" + token +
-                            "' must be a positive ms value"};
-            reset.at = at;
             const std::size_t slash = value.find('/');
             reset.device = value.substr(0, slash);
-            if (reset.device.empty())
-                return {ErrorCode::InvalidArgument,
-                        "--chaos reset in '" + token + "' names no device"};
-            if (slash != std::string::npos &&
-                !parsePositiveMs(value.substr(slash + 1), reset.downtime))
-                return {ErrorCode::InvalidArgument,
-                        "--chaos reset downtime in '" + token +
-                            "' must be a positive ms value"};
+            if (!parseMs(key.substr(6), reset.at) || reset.device.empty() ||
+                (slash != std::string::npos &&
+                 !parseMs(value.substr(slash + 1), reset.downtime)))
+                return invalid(token, "is not reset@MS=device[/MS] with "
+                                      "positive ms values");
             spec.resets.push_back(std::move(reset));
             continue;
         }
 
         double *probability = nullptr;
+        sim::SimTime *duration = nullptr;
         if (key == "drop")
             probability = &spec.packetDrop;
         else if (key == "dup")
@@ -135,31 +97,35 @@ parseChaosSpec(const std::string &text)
             probability = &spec.poolExhaust;
         else if (key == "ringfull")
             probability = &spec.ringOverflow;
-        if (probability != nullptr) {
-            if (!parseProbability(value, *probability))
-                return {ErrorCode::InvalidArgument,
-                        "--chaos " + key + " must be a probability in " +
-                            "[0,1], got '" + value + "'"};
-            continue;
-        }
-        if (key == "slow-ms") {
-            if (!parsePositiveMs(value, spec.slowDelay))
-                return {ErrorCode::InvalidArgument,
-                        "--chaos slow-ms must be a positive ms value, " +
-                            std::string("got '") + value + "'"};
-            continue;
-        }
-        if (key == "stall-ms") {
-            if (!parsePositiveMs(value, spec.stallTime))
-                return {ErrorCode::InvalidArgument,
-                        "--chaos stall-ms must be a positive ms value, " +
-                            std::string("got '") + value + "'"};
-            continue;
-        }
-        return {ErrorCode::InvalidArgument,
-                "--chaos unknown key '" + key + "'"};
+        else if (key == "slow-ms")
+            duration = &spec.slowDelay;
+        else if (key == "stall-ms")
+            duration = &spec.stallTime;
+        else
+            return invalid(key, "is not a chaos key");
+        // Written so that NaN fails the probability range test too.
+        if (probability && (!parseDouble(value, *probability) ||
+                            !(*probability >= 0.0 && *probability <= 1.0)))
+            return invalid(token, "is not a probability in [0, 1]");
+        if (duration && !parseMs(value, *duration))
+            return invalid(token, "is not a positive ms value");
     }
     return spec;
+}
+
+Flag
+chaosFlag()
+{
+    return {"--chaos", "SEED[:spec]",
+            [](const std::string &value, std::string &why) {
+                auto spec = parseChaosSpec(value);
+                if (!spec) {
+                    why = spec.error().message;
+                    return false;
+                }
+                ChaosEngine::instance().configure(spec.value());
+                return true;
+            }};
 }
 
 ChaosEngine &

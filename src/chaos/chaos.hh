@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "common/flags.hh"
 #include "common/result.hh"
 #include "common/rng.hh"
 #include "sim/time.hh"
@@ -77,6 +78,12 @@ struct ChaosSpec
  * offending token otherwise.
  */
 Result<ChaosSpec> parseChaosSpec(const std::string &text);
+
+/**
+ * `--chaos SEED[:spec]` for a driver's flag table: parses the spec
+ * and arms ChaosEngine::instance() with it.
+ */
+Flag chaosFlag();
 
 /**
  * Process-wide fault injector. Disabled by default; configure() arms

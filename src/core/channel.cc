@@ -363,6 +363,14 @@ Channel::dispatchToOffcode(std::size_t endpoint, const Payload &message,
         // The Return travels inside the dispatch span, so the reply
         // is causally linked to this Call's span.
         Status written = writeFrom(endpoint, ret.serialize());
+        if (!written && written.code() == ErrorCode::MessageTooLarge) {
+            // A reply over the channel's cap still answers the caller:
+            // a small error Return takes its place.
+            ret.ok = false;
+            ret.value.clear();
+            ret.error = written.error().describe();
+            written = writeFrom(endpoint, ret.serialize());
+        }
         if (!written) {
             LOG_DEBUG << "channel: return write failed: "
                       << written.error().describe();

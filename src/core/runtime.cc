@@ -17,6 +17,9 @@ namespace hydra::core {
 
 namespace {
 
+/** Message cap of every OOB channel (copying, shallow ring). */
+constexpr std::size_t kOobMessageBytes = 8 * 1024;
+
 /** "hydra.Runtime" pseudo Offcode: runtime services by interface. */
 class RuntimePseudoOffcode : public Offcode
 {
@@ -130,18 +133,26 @@ class MonitorPseudoOffcode : public Offcode
             return spans();
         });
         // Flight streams the recorder's snapshot ring. The argument,
-        // when present, is a decimal snapshot count; an empty,
-        // malformed, overflowing or non-positive one keeps the default
-        // tail, which keeps the reply inside the OOB channel's 8 KiB
-        // message cap.
+        // when present, is a decimal snapshot count; a reply too large
+        // for the OOB channel comes back as an error Return. An empty,
+        // malformed, overflowing or non-positive argument asks for the
+        // default: the largest tail up to 6 whose reply fits the cap.
         registerMethod("Flight", [](const Bytes &args) -> Result<Bytes> {
-            std::size_t tail = 6;
-            long long parsed = 0;
-            if (parseInt(std::string(args.begin(), args.end()), parsed) &&
-                parsed > 0)
-                tail = static_cast<std::size_t>(parsed);
-            const std::string json =
-                obs::FlightRecorder::instance().toJson(tail);
+            const obs::FlightRecorder &recorder =
+                obs::FlightRecorder::instance();
+            long long tail = 0;
+            std::string json;
+            if (parseInt(std::string(args.begin(), args.end()), tail) &&
+                tail > 0) {
+                json = recorder.toJson(static_cast<std::size_t>(tail));
+            } else {
+                const std::size_t envelope = CallReturn{}.serialize().size();
+                for (std::size_t n = 6; n > 0; --n) {
+                    json = recorder.toJson(n);
+                    if (json.size() + envelope <= kOobMessageBytes)
+                        break;
+                }
+            }
             return Bytes(json.begin(), json.end());
         });
         // Slo reports the watchdog's rule table and violation counts.
@@ -385,7 +396,7 @@ Runtime::makeOobChannel(ExecutionSite &site)
     config.reliable = true;
     config.buffering = ChannelConfig::Buffering::Copying;
     config.ringDepth = 16;
-    config.maxMessageBytes = 8 * 1024;
+    config.maxMessageBytes = kOobMessageBytes;
     config.targetDevice = site.name();
     // One latency series per (machine, target site) pair of OOB lanes.
     config.name = "oob." + machine_.name() + "." + site.name();

@@ -10,11 +10,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "chaos/chaos.hh"
+#include "common/rng.hh"
 #include "core/runtime.hh"
 #include "dev/nic.hh"
 #include "exec/sim_executor.hh"
@@ -88,14 +92,131 @@ TEST(ChaosSpecTest, ParsesFullSpec)
 TEST(ChaosSpecTest, RejectsMalformedSpecs)
 {
     // Probabilities must be numeric and inside [0, 1]; durations
-    // positive; keys known; reset targets named.
+    // positive and small enough to fit a SimTime; the seed must fit
+    // [0, 2^63-1]; keys known; reset targets named.
     for (const char *bad :
          {"", "abc", "-1", "7:drop=-0.1", "7:drop=1.5", "7:drop=abc",
           "7:drop=", "7:bogus=0.5", "7:slow-ms=0", "7:slow-ms=x",
           "7:reset@=nic", "7:reset@100=", "7:reset@abc=nic",
-          "7:reset@100=nic/0", "7:reset@100=nic/xyz", "7:drop"}) {
+          "7:reset@100=nic/0", "7:reset@100=nic/xyz", "7:drop",
+          "99999999999999999999", "7:slow-ms=1e300", "7:stall-ms=inf",
+          "7:reset@1e300=nic", "7:reset@100=nic/1e300"}) {
         auto spec = chaos::parseChaosSpec(bad);
         EXPECT_FALSE(spec.ok()) << "accepted: " << bad;
+    }
+}
+
+/** Accepted specs hold only in-range values; rejections say why. */
+void
+expectSaneOutcome(const Result<chaos::ChaosSpec> &spec,
+                  const std::string &text)
+{
+    if (!spec.ok()) {
+        EXPECT_EQ(spec.error().code, ErrorCode::InvalidArgument) << text;
+        EXPECT_FALSE(spec.error().message.empty()) << text;
+        return;
+    }
+    const chaos::ChaosSpec &s = spec.value();
+    for (double p : {s.packetDrop, s.packetDuplicate, s.packetCorrupt,
+                     s.workerSlow, s.workerStall, s.poolExhaust,
+                     s.ringOverflow})
+        EXPECT_TRUE(p >= 0.0 && p <= 1.0) << text;
+    EXPECT_LE(s.seed, static_cast<std::uint64_t>(
+                          std::numeric_limits<long long>::max()))
+        << text;
+    EXPECT_GT(s.slowDelay, 0u) << text;
+    EXPECT_GT(s.stallTime, 0u) << text;
+    for (const chaos::ScheduledReset &reset : s.resets) {
+        EXPECT_GT(reset.at, 0u) << text;
+        EXPECT_GT(reset.downtime, 0u) << text;
+        EXPECT_FALSE(reset.device.empty()) << text;
+    }
+}
+
+/** A random well-formed spec: a seed and up to six key=value tokens. */
+std::string
+randomChaosSpec(Rng &rng)
+{
+    static const char *kProbabilityKeys[] = {
+        "drop", "dup", "corrupt", "slow", "stall", "poolfail", "ringfull"};
+    std::string spec = std::to_string(rng.uniformInt(0, 1000000));
+    for (std::int64_t i = rng.uniformInt(0, 6); i > 0; --i) {
+        spec += spec.find(':') == std::string::npos ? ':' : ',';
+        char number[32];
+        switch (rng.uniformInt(0, 2)) {
+          case 0:
+            std::snprintf(number, sizeof number, "%.4f", rng.uniform());
+            spec += std::string(kProbabilityKeys[rng.uniformInt(0, 6)]) +
+                    "=" + number;
+            break;
+          case 1:
+            std::snprintf(number, sizeof number, "%.1f",
+                          rng.uniform(0.1, 100.0));
+            spec += std::string(rng.chance(0.5) ? "slow-ms=" : "stall-ms=") +
+                    number;
+            break;
+          default:
+            spec += "reset@" + std::to_string(rng.uniformInt(1, 9000)) +
+                    "=client-nic";
+            if (rng.chance(0.5))
+                spec += "/" + std::to_string(rng.uniformInt(1, 50));
+            break;
+        }
+    }
+    return spec;
+}
+
+TEST(ChaosSpecTest, SeededCorpusMutationsParseOrFailCleanly)
+{
+    // Values that overflow, saturate or leave the double range, each
+    // spliced over a number of a valid spec.
+    static const char *kHostile[] = {
+        "99999999999999999999", "18446744073709551617", "1e300", "-1e300",
+        "inf", "nan", "-0", "", "0x10", "1e-300", "18446744073710"};
+    Rng rng(23);
+    std::string previous = "1";
+    for (int round = 0; round < 400; ++round) {
+        const std::string text = randomChaosSpec(rng);
+        auto valid = chaos::parseChaosSpec(text);
+        ASSERT_TRUE(valid.ok()) << text << ": " << valid.error().describe();
+        expectSaneOutcome(valid, text);
+
+        const auto last = static_cast<std::int64_t>(text.size());
+        for (int cut = 0; cut < 3; ++cut) {
+            const std::string head = text.substr(
+                0, static_cast<std::size_t>(rng.uniformInt(0, last)));
+            expectSaneOutcome(chaos::parseChaosSpec(head), head);
+        }
+
+        std::string flipped = text;
+        const auto at = static_cast<std::size_t>(rng.uniformInt(0, last - 1));
+        flipped[at] = static_cast<char>(
+            flipped[at] ^ static_cast<char>(rng.uniformInt(1, 255)));
+        expectSaneOutcome(chaos::parseChaosSpec(flipped), flipped);
+
+        // Token splice: the head of this spec joined to the tail of the
+        // previous one.
+        const std::string spliced =
+            text.substr(0, static_cast<std::size_t>(rng.uniformInt(0, last))) +
+            previous.substr(static_cast<std::size_t>(rng.uniformInt(
+                0, static_cast<std::int64_t>(previous.size()))));
+        expectSaneOutcome(chaos::parseChaosSpec(spliced), spliced);
+        previous = text;
+
+        // A hostile literal in place of the first digit run at or after
+        // a random offset.
+        const std::size_t digit = text.find_first_of(
+            "0123456789", static_cast<std::size_t>(rng.uniformInt(0, last)));
+        if (digit != std::string::npos) {
+            const std::size_t end =
+                text.find_first_not_of("0123456789.", digit);
+            const std::string hostile =
+                text.substr(0, digit) +
+                kHostile[rng.uniformInt(
+                    0, static_cast<std::int64_t>(std::size(kHostile)) - 1)] +
+                (end == std::string::npos ? "" : text.substr(end));
+            expectSaneOutcome(chaos::parseChaosSpec(hostile), hostile);
+        }
     }
 }
 

@@ -3,7 +3,7 @@
  * Unit tests for the common module: Result/Status, GUIDs, byte
  * serialization, statistics, strings, the deterministic RNG, and the
  * JSON writer and parser (including a seeded round-trip and mutation
- * corpus).
+ * corpus), and the command-line flag table.
  */
 
 #include <cmath>
@@ -11,10 +11,12 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/bytes.hh"
+#include "common/flags.hh"
 #include "common/guid.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -724,6 +726,147 @@ TEST(SparklineTest, ClampsNegativeAndNonFinite)
     // +inf clamps to zero too (non-finite), leaving the finite
     // samples to set the scale.
     EXPECT_EQ(sparkline({inf, 2.0}), "▁█");
+}
+
+// ----------------------------------------------------------------- Flags
+
+/** applyFlags over {"prog", args...}. */
+Status
+applyArgs(std::vector<std::string> args, const FlagTable &table)
+{
+    args.insert(args.begin(), "prog");
+    std::vector<char *> argv;
+    for (std::string &arg : args)
+        argv.push_back(arg.data());
+    return applyFlags(static_cast<int>(argv.size()), argv.data(), table);
+}
+
+/** The error text of a failed applyArgs, or "" on success. */
+std::string
+flagError(std::vector<std::string> args, const FlagTable &table)
+{
+    const Status status = applyArgs(std::move(args), table);
+    return status ? "" : status.error().message;
+}
+
+class FlagsTest : public ::testing::Test
+{
+  protected:
+    long long n = -1;
+    std::string file;
+    bool on = false;
+    double p = -1.0;
+    const FlagTable table{intFlag("--n", n, 0, 10),
+                          stringFlag("--file", "FILE", file),
+                          switchFlag("--on", on),
+                          realFlag("--p", p, 0.0, 1.0)};
+};
+
+TEST_F(FlagsTest, BothValueFormsSetTheSameValues)
+{
+    ASSERT_EQ(flagError({"--n", "7", "--file", "a=b", "--p", "0.5", "--on"},
+                        table),
+              "");
+    EXPECT_EQ(n, 7);
+    EXPECT_EQ(file, "a=b");
+    EXPECT_EQ(p, 0.5);
+    EXPECT_TRUE(on);
+
+    n = -1;
+    file.clear();
+    p = -1.0;
+    ASSERT_EQ(flagError({"--n=7", "--file=a=b", "--p=0.5"}, table), "");
+    EXPECT_EQ(n, 7);
+    EXPECT_EQ(file, "a=b"); // split at the first '=' only
+    EXPECT_EQ(p, 0.5);
+}
+
+TEST_F(FlagsTest, MissingAndEmptyValues)
+{
+    EXPECT_EQ(flagError({"--n"}, table), "--n: missing value N");
+    EXPECT_EQ(flagError({"--n="}, table),
+              "--n: expected an integer in [0, 10], got ''");
+    // An empty string is a value like any other for a string flag.
+    file = "x";
+    EXPECT_EQ(flagError({"--file="}, table), "");
+    EXPECT_EQ(file, "");
+}
+
+TEST_F(FlagsTest, UnknownFlagsAndValuedSwitchesFail)
+{
+    EXPECT_EQ(flagError({"--bogus"}, table), "--bogus: unknown flag");
+    EXPECT_EQ(flagError({"--bogus=1"}, table), "--bogus: unknown flag");
+    EXPECT_EQ(flagError({"stray"}, table), "stray: unknown flag");
+    EXPECT_EQ(flagError({"--on=1"}, table),
+              "--on: takes no value, got '1'");
+    EXPECT_FALSE(on);
+}
+
+TEST_F(FlagsTest, IntegerBoundsAreInclusive)
+{
+    EXPECT_EQ(flagError({"--n", "0"}, table), "");
+    EXPECT_EQ(n, 0);
+    EXPECT_EQ(flagError({"--n", "10"}, table), "");
+    EXPECT_EQ(n, 10);
+    const std::string expected = "expected an integer in [0, 10]";
+    for (const char *bad : {"11", "-1", "abc", "1.5", "10x",
+                            "18446744073709551617"}) {
+        EXPECT_EQ(flagError({"--n", bad}, table),
+                  "--n: " + expected + ", got '" + bad + "'");
+    }
+    EXPECT_EQ(n, 10);
+}
+
+TEST_F(FlagsTest, RealRejectsNaNAndOutOfRange)
+{
+    EXPECT_EQ(flagError({"--p", "1"}, table), "");
+    EXPECT_EQ(p, 1.0);
+    for (const char *bad : {"nan", "inf", "-0.1", "1.5", "x", ""}) {
+        EXPECT_EQ(flagError({"--p", bad}, table),
+                  std::string("--p: expected a number in [0, 1], got '") +
+                      bad + "'");
+    }
+}
+
+TEST_F(FlagsTest, CustomSetterReasonIsReported)
+{
+    std::string mode;
+    const FlagTable custom{
+        {"--mode", "a|b", [&](const std::string &v, std::string &) {
+             mode = v;
+             return v == "a" || v == "b";
+         }},
+        {"--spec", "SPEC", [](const std::string &, std::string &why) {
+             why = "spec is broken";
+             return false;
+         }}};
+    EXPECT_EQ(flagError({"--mode=b"}, custom), "");
+    EXPECT_EQ(mode, "b");
+    EXPECT_EQ(flagError({"--mode", "c"}, custom),
+              "--mode: expected a|b, got 'c'");
+    EXPECT_EQ(flagError({"--spec=1"}, custom),
+              "--spec: spec is broken, got '1'");
+}
+
+TEST_F(FlagsTest, UsageListsEveryEntry)
+{
+    const std::string usage = flagUsage("prog", table);
+    EXPECT_EQ(usage.rfind("usage: prog ", 0), 0u) << usage;
+    for (const char *item : {"[--n N]", "[--file FILE]", "[--on]",
+                             "[--p X]"})
+        EXPECT_NE(usage.find(item), std::string::npos) << item;
+}
+
+TEST_F(FlagsTest, ParseFlagsExitsTwoWithErrorAndUsage)
+{
+    std::vector<std::string> args{"prog", "--n", "x"};
+    std::vector<char *> argv;
+    for (std::string &arg : args)
+        argv.push_back(arg.data());
+    EXPECT_EXIT(parseFlags(3, argv.data(), table),
+                ::testing::ExitedWithCode(2),
+                "prog: --n: expected an integer in \\[0, 10\\], got 'x'\n"
+                "usage: prog \\[--n N\\]");
 }
 
 } // namespace

@@ -481,6 +481,43 @@ TEST_F(RuntimeFixture, InvokeAsyncThroughOobChannel)
               Guid::fromName("hydra.Heap").value());
 }
 
+TEST_F(RuntimeFixture, OversizeReturnFailsTheCall)
+{
+    /** Offcode whose one method replies with more than the OOB cap. */
+    class BigReplyOffcode : public Offcode
+    {
+      public:
+        BigReplyOffcode() : Offcode("test.BigReply")
+        {
+            registerMethod("Get", [](const Bytes &) -> Result<Bytes> {
+                return Bytes(9000, 'x');
+            });
+        }
+    };
+    runtime_->depot().registerOffcode(simpleOdf("test.BigReply"), []() {
+        return std::make_unique<BigReplyOffcode>();
+    });
+    runtime_->createOffcode("test.BigReply", [](Result<OffcodeHandle> h) {
+        ASSERT_TRUE(h.ok()) << h.error().describe();
+    });
+    sim_.runToCompletion();
+
+    bool replied = false;
+    ASSERT_TRUE(runtime_
+                    ->invokeAsync("test.BigReply", "Get", Bytes{},
+                                  [&](Result<Bytes> r) {
+                                      replied = true;
+                                      ASSERT_FALSE(r.ok());
+                                      EXPECT_NE(r.error().message.find(
+                                                    "MessageTooLarge"),
+                                                std::string::npos)
+                                          << r.error().describe();
+                                  })
+                    .ok());
+    sim_.runToCompletion();
+    EXPECT_TRUE(replied) << "oversize Return left the caller waiting";
+}
+
 TEST_F(RuntimeFixture, HeapPseudoOffcodeAllocates)
 {
     Bytes args;

@@ -230,6 +230,27 @@ TEST_F(FlightTest, MonitorFlightMethodStreamsBoundedTail)
         << "tail arg not honored";
 }
 
+TEST_F(FlightTest, MonitorFlightDefaultTailFitsOobCap)
+{
+    // The default ring: six snapshots of this scenario are ~22 KB, far
+    // over the OOB channel's 8 KiB cap, so the default reply carries
+    // the largest tail that fits.
+    obs::MetricsRegistry::instance().reset();
+    FlightRecorder::instance().configure(FlightConfig{});
+    tivo::Testbed testbed(shortScenario());
+    testbed.run();
+    ASSERT_GT(FlightRecorder::instance().size(), 6u);
+
+    const std::size_t tail = flightReplySnapshots(testbed, "");
+    EXPECT_GE(tail, 1u);
+    EXPECT_LE(tail, 6u);
+    const std::size_t cap = 8 * 1024 - core::CallReturn{}.serialize().size();
+    EXPECT_LE(FlightRecorder::instance().toJson(tail).size(), cap);
+    if (tail < 6) {
+        EXPECT_GT(FlightRecorder::instance().toJson(tail + 1).size(), cap);
+    }
+}
+
 TEST_F(FlightTest, MonitorFlightBadTailKeepsDefault)
 {
     // A two-snapshot ring: the default tail (6) returns both, inside

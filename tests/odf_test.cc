@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "common/rng.hh"
 #include "odf/odf.hh"
 #include "odf/xml.hh"
 
@@ -264,6 +268,72 @@ TEST(OdfTest, BadPriorityFails)
         "<reference type=\"Pull\" pri=\"abc\"/></import></sw-env>"
         "<targets><host-fallback/></targets></offcode>");
     EXPECT_FALSE(doc.ok());
+}
+
+// ------------------------------------------------------------- Corpus
+
+/** Failures from either parser carry a parse or manifest error. */
+void
+expectCleanOutcome(const std::string &text)
+{
+    auto xml = parseXml(text);
+    if (!xml.ok()) {
+        EXPECT_EQ(xml.error().code, ErrorCode::ParseError) << text;
+        EXPECT_FALSE(xml.error().message.empty()) << text;
+    }
+    auto odf = OdfDocument::parse(text);
+    if (!odf.ok()) {
+        EXPECT_TRUE(odf.error().code == ErrorCode::ParseError ||
+                    odf.error().code == ErrorCode::ManifestInvalid)
+            << text << ": " << odf.error().describe();
+        EXPECT_FALSE(odf.error().message.empty()) << text;
+    }
+}
+
+TEST(OdfCorpusTest, SeededMutationsParseOrFailCleanly)
+{
+    // The XmlTest documents and the paper-style manifest.
+    const std::vector<std::string> inputs{
+        "<a><b x=\"1\"/><c>text</c></a>",
+        "<e a=\"x y\" b='z'/>",
+        "<reference type=Pull pri=0></reference>",
+        "<?xml version=\"1.0\"?>\n<!-- header -->\n"
+        "<root><!-- inner --><x/></root>\n<!-- trailer -->",
+        "<r><![CDATA[a<b&c]]></r>",
+        "<r a=\"&lt;&amp;&gt;\">x&quot;y&apos;z</r>",
+        "<r><i>1</i><j/><i>2</i></r>",
+        kSocketOdf};
+    Rng rng(29);
+    const std::string manifest = kSocketOdf;
+    for (int round = 0; round < 400; ++round) {
+        const std::string &text = inputs[static_cast<std::size_t>(
+            rng.uniformInt(0, static_cast<std::int64_t>(inputs.size()) - 1))];
+        const auto last = static_cast<std::int64_t>(text.size());
+
+        const std::string head =
+            text.substr(0, static_cast<std::size_t>(rng.uniformInt(0, last)));
+        expectCleanOutcome(head);
+
+        std::string flipped = text;
+        const auto at = static_cast<std::size_t>(rng.uniformInt(0, last - 1));
+        flipped[at] = static_cast<char>(
+            flipped[at] ^ static_cast<char>(rng.uniformInt(1, 255)));
+        expectCleanOutcome(flipped);
+
+        // Splice: a head of this input joined to a tail of the manifest.
+        const std::string spliced =
+            head + manifest.substr(static_cast<std::size_t>(rng.uniformInt(
+                       0, static_cast<std::int64_t>(manifest.size()))));
+        expectCleanOutcome(spliced);
+
+        // The manifest's root closes on its last byte, so every strict
+        // prefix is unterminated.
+        const std::string cut = manifest.substr(
+            0, static_cast<std::size_t>(rng.uniformInt(
+                   0, static_cast<std::int64_t>(manifest.size()) - 1)));
+        EXPECT_FALSE(parseXml(cut).ok()) << cut;
+        EXPECT_FALSE(OdfDocument::parse(cut).ok()) << cut;
+    }
 }
 
 } // namespace

@@ -9,14 +9,7 @@
  * percentiles (p50/p99/p999), payload-copy accounting, and per-host
  * CPU (host CPU + NIC firmware busy time over the window).
  *
- * Usage:
- *   hydra_fleet [--hosts N] [--streams N] [--rate MSGS_PER_SEC]
- *               [--bytes N] [--duration-ms N] [--tick-us N]
- *               [--executor sim|threaded] [--churn N]
- *               [--remote-only] [--drivers] [--seed N]
- *               [--background-load] [--json]
- *               [--metrics] [--metrics-out FILE]
- *               [--chaos SEED[:spec]]
+ * Flags are declared in one table in main(), as in hydra_sim.
  *
  * --chaos arms the deterministic fault injector (same grammar as
  * hydra_sim). Scheduled resets match fleet NICs by name ("host0-nic",
@@ -24,16 +17,13 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <string>
 
 #include "chaos/chaos.hh"
+#include "common/flags.hh"
 #include "common/json.hh"
-#include "common/strings.hh"
 #include "exec/executor.hh"
 #include "fleet/fleet.hh"
 #include "fleet/loadgen.hh"
@@ -42,40 +32,6 @@
 using namespace hydra;
 
 namespace {
-
-int
-usage(const char *argv0)
-{
-    std::fprintf(
-        stderr,
-        "usage: %s [--hosts N] [--streams N] [--rate MSGS_PER_SEC]\n"
-        "          [--bytes N] [--duration-ms N] [--tick-us N]\n"
-        "          [--executor sim|threaded] [--churn N]\n"
-        "          [--remote-only] [--drivers] [--seed N]\n"
-        "          [--background-load] [--json]\n"
-        "          [--metrics] [--metrics-out FILE]\n"
-        "          [--chaos SEED[:drop=P,dup=P,corrupt=P,slow=P,"
-        "stall=P,poolfail=P,ringfull=P,reset@MS=dev[/ms]]]\n",
-        argv0);
-    return 2;
-}
-
-constexpr long long kNoMax = std::numeric_limits<long long>::max();
-
-/**
- * Strict integer flag value in [lo, hi]: non-digits, out-of-range and
- * overflowing values fail instead of wrapping.
- */
-bool
-parseIntFlag(const char *value, long long lo, long long hi,
-             std::uint64_t &out)
-{
-    long long parsed = 0;
-    if (!value || !parseInt(value, parsed) || parsed < lo || parsed > hi)
-        return false;
-    out = static_cast<std::uint64_t>(parsed);
-    return true;
-}
 
 void
 printTable(const fleet::LoadgenReport &report)
@@ -165,76 +121,28 @@ main(int argc, char **argv)
     std::uint64_t durationMs = 100;
     std::uint64_t tickUs = 100;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const char *value = i + 1 < argc ? argv[i + 1] : nullptr;
-        std::uint64_t parsed = 0;
-        if (arg == "--hosts" && parseIntFlag(value, 1, kNoMax, parsed)) {
-            fleetConfig.hosts = parsed;
-            ++i;
-        } else if (arg == "--streams" &&
-                   parseIntFlag(value, 1, kNoMax, parsed)) {
-            load.streams = parsed;
-            ++i;
-        } else if (arg == "--rate" &&
-                   parseIntFlag(value, 0, kNoMax, parsed)) {
-            load.offeredMsgsPerSec = static_cast<double>(parsed);
-            ++i;
-        } else if (arg == "--bytes" &&
-                   parseIntFlag(value, 8, kNoMax, parsed)) {
-            load.messageBytes = parsed;
-            ++i;
-        } else if (arg == "--duration-ms" &&
-                   parseIntFlag(value, 1,
-                                sim::maxCount(sim::milliseconds(1)),
-                                parsed)) {
-            durationMs = parsed;
-            ++i;
-        } else if (arg == "--tick-us" &&
-                   parseIntFlag(value, 1,
-                                sim::maxCount(sim::microseconds(1)),
-                                parsed)) {
-            tickUs = parsed;
-            ++i;
-        } else if (arg == "--churn" &&
-                   parseIntFlag(value, 0, kNoMax, parsed)) {
-            load.churnPerTick = parsed;
-            ++i;
-        } else if (arg == "--seed" &&
-                   parseIntFlag(value, 0, kNoMax, parsed)) {
-            fleetConfig.seed = parsed;
-            ++i;
-        } else if (arg == "--executor" && value) {
-            if (!exec::parseExecutorKind(value, kind))
-                return usage(argv[0]);
-            ++i;
-        } else if (arg == "--remote-only") {
-            load.remoteOnly = true;
-        } else if (arg == "--drivers") {
-            load.useDrivers = true;
-        } else if (arg == "--background-load") {
-            fleetConfig.backgroundLoad = true;
-        } else if (arg == "--json") {
-            json = true;
-        } else if (arg == "--metrics") {
-            printMetrics = true;
-        } else if (arg == "--metrics-out" && value) {
-            metricsOut = value;
-            ++i;
-        } else if (arg == "--chaos" && value) {
-            auto spec = chaos::parseChaosSpec(value);
-            if (!spec) {
-                std::fprintf(stderr, "%s: bad --chaos spec: %s\n",
-                             argv[0],
-                             spec.error().describe().c_str());
-                return usage(argv[0]);
-            }
-            chaos::ChaosEngine::instance().configure(spec.value());
-            ++i;
-        } else {
-            return usage(argv[0]);
-        }
-    }
+    parseFlags(
+        argc, argv,
+        {intFlag("--hosts", fleetConfig.hosts, 1),
+         intFlag("--streams", load.streams, 1),
+         intFlag("--rate", load.offeredMsgsPerSec, 0),
+         intFlag("--bytes", load.messageBytes, 8),
+         intFlag("--duration-ms", durationMs, 1,
+                 sim::maxCount(sim::milliseconds(1))),
+         intFlag("--tick-us", tickUs, 1, sim::maxCount(sim::microseconds(1))),
+         {"--executor", "sim|threaded",
+          [&](const std::string &v, std::string &) {
+              return exec::parseExecutorKind(v, kind);
+          }},
+         intFlag("--churn", load.churnPerTick, 0),
+         switchFlag("--remote-only", load.remoteOnly),
+         switchFlag("--drivers", load.useDrivers),
+         intFlag("--seed", fleetConfig.seed, 0),
+         switchFlag("--background-load", fleetConfig.backgroundLoad),
+         switchFlag("--json", json),
+         switchFlag("--metrics", printMetrics),
+         stringFlag("--metrics-out", "FILE", metricsOut),
+         chaos::chaosFlag()});
     load.duration = sim::milliseconds(durationMs);
     load.tick = sim::microseconds(tickUs);
 

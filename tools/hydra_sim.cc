@@ -8,20 +8,9 @@
  * a downstream user reaches for to explore parameter sensitivity
  * without writing code.
  *
- * Usage:
- *   hydra_sim [--server simple|sendfile|onloaded|offloaded|none]
- *             [--client receiver|user-space|offloaded|none]
- *             [--executor sim|threaded] [--batch-max N]
- *             [--seconds N] [--seed N] [--period-ms N]
- *             [--chunk-bytes N] [--drop P] [--quiet-host]
- *             [--no-bus-multicast] [--histogram]
- *             [--metrics] [--metrics-format table|json]
- *             [--metrics-out FILE] [--trace-out FILE]
- *             [--spans-out FILE] [--introspect-out FILE]
- *             [--flight-out FILE] [--flight-interval-ms N]
- *             [--profile-out FILE]
- *             [--slo FILE] [--slo-strict]
- *             [--chaos SEED[:spec]]
+ * Flags are declared in one table in main(); any error prints the
+ * usage text generated from it and exits 2. Every valued flag takes
+ * `--flag value` or `--flag=value`.
  *
  * --chaos arms the deterministic fault injector. The spec grammar is
  * `SEED[:key=value,...]` with keys drop/dup/corrupt/slow/stall/
@@ -32,16 +21,14 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iterator>
-#include <limits>
 #include <sstream>
 #include <string>
 
 #include "chaos/chaos.hh"
+#include "common/flags.hh"
 #include "common/json.hh"
-#include "common/strings.hh"
 #include "core/runtime.hh"
 #include "obs/attribution.hh"
 #include "obs/flight.hh"
@@ -54,47 +41,6 @@ using namespace hydra;
 using namespace hydra::tivo;
 
 namespace {
-
-int
-usage(const char *argv0)
-{
-    std::fprintf(
-        stderr,
-        "usage: %s [--server simple|sendfile|onloaded|offloaded|none]\n"
-        "          [--client receiver|user-space|offloaded|none]\n"
-        "          [--executor sim|threaded] [--batch-max N]\n"
-        "          [--seconds N] [--seed N] [--period-ms N]\n"
-        "          [--chunk-bytes N] [--drop P] [--quiet-host]\n"
-        "          [--no-bus-multicast] [--histogram]\n"
-        "          [--metrics] [--metrics-format table|json]\n"
-        "          [--metrics-out FILE] [--trace-out FILE]\n"
-        "          [--spans-out FILE] [--introspect-out FILE]\n"
-        "          [--flight-out FILE] [--flight-interval-ms N]\n"
-        "          [--profile-out FILE]\n"
-        "          [--slo FILE] [--slo-strict]\n"
-        "          [--chaos SEED[:drop=P,dup=P,corrupt=P,slow=P,"
-        "stall=P,poolfail=P,ringfull=P,reset@MS=dev[/ms]]]\n",
-        argv0);
-    return 2;
-}
-
-constexpr long long kNoMax = std::numeric_limits<long long>::max();
-
-/**
- * Strict integer flag value in [lo, hi]. "abc", "1.5", "10x", "",
- * out-of-range and overflowing values all fail, where std::strtoull
- * would silently read 0 or wrap.
- */
-bool
-parseIntFlag(const char *value, long long lo, long long hi,
-             std::uint64_t &out)
-{
-    long long parsed = 0;
-    if (!value || !parseInt(value, parsed) || parsed < lo || parsed > hi)
-        return false;
-    out = static_cast<std::uint64_t>(parsed);
-    return true;
-}
 
 bool
 parseServer(const std::string &name, ServerKind &out)
@@ -282,8 +228,9 @@ main(int argc, char **argv)
     TestbedConfig config;
     config.server = ServerKind::Offloaded;
     config.client = ClientKind::Offloaded;
-    config.duration = sim::seconds(60);
     config.warmup = sim::seconds(5);
+    std::uint64_t seconds = 60;
+    std::uint64_t periodMs = config.sendPeriod / sim::kMillisecond;
     bool histogram = false;
     bool printMetrics = false;
     std::string metricsFormat = "table";
@@ -297,159 +244,52 @@ main(int argc, char **argv)
     std::string sloPath;
     bool sloStrict = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        if (arg == "--server") {
-            const char *value = next();
-            if (!value || !parseServer(value, config.server))
-                return usage(argv[0]);
-        } else if (arg == "--client") {
-            const char *value = next();
-            if (!value || !parseClient(value, config.client))
-                return usage(argv[0]);
-        } else if (arg == "--executor" ||
-                   arg.rfind("--executor=", 0) == 0) {
-            std::string value;
-            if (arg == "--executor") {
-                const char *v = next();
-                if (!v)
-                    return usage(argv[0]);
-                value = v;
-            } else {
-                value = arg.substr(std::strlen("--executor="));
-            }
-            if (!exec::parseExecutorKind(value, config.executor))
-                return usage(argv[0]);
-        } else if (arg == "--batch-max") {
-            // A zero or malformed quantum is a usage error, not "use
-            // default".
-            std::uint64_t parsed = 0;
-            if (!parseIntFlag(next(), 1, kNoMax, parsed))
-                return usage(argv[0]);
-            config.batchMax = static_cast<std::size_t>(parsed);
-        } else if (arg == "--seconds") {
-            std::uint64_t parsed = 0;
-            if (!parseIntFlag(next(), 1, sim::maxCount(sim::seconds(1)),
-                              parsed))
-                return usage(argv[0]);
-            config.duration = sim::seconds(parsed);
-        } else if (arg == "--seed") {
-            if (!parseIntFlag(next(), 0, kNoMax, config.seed))
-                return usage(argv[0]);
-        } else if (arg == "--period-ms") {
-            std::uint64_t parsed = 0;
-            if (!parseIntFlag(next(), 1, sim::maxCount(sim::milliseconds(1)),
-                              parsed))
-                return usage(argv[0]);
-            config.sendPeriod = sim::milliseconds(parsed);
-        } else if (arg == "--chunk-bytes") {
-            std::uint64_t parsed = 0;
-            if (!parseIntFlag(next(), 1, kNoMax, parsed))
-                return usage(argv[0]);
-            config.chunkBytes = static_cast<std::size_t>(parsed);
-        } else if (arg == "--drop") {
-            const char *value = next();
-            double parsed = 0.0;
-            // Written so that NaN fails the range test too.
-            if (!value || !parseDouble(value, parsed) ||
-                !(parsed >= 0.0 && parsed <= 1.0))
-                return usage(argv[0]);
-            config.dropProbability = parsed;
-        } else if (arg == "--quiet-host") {
-            config.quietHost = true;
-        } else if (arg == "--no-bus-multicast") {
-            config.busMulticast = false;
-        } else if (arg == "--histogram") {
-            histogram = true;
-        } else if (arg == "--metrics") {
-            printMetrics = true;
-        } else if (arg == "--metrics-format" ||
-                   arg.rfind("--metrics-format=", 0) == 0) {
-            std::string value;
-            if (arg == "--metrics-format") {
-                const char *v = next();
-                if (!v)
-                    return usage(argv[0]);
-                value = v;
-            } else {
-                value = arg.substr(std::strlen("--metrics-format="));
-            }
-            if (value != "table" && value != "json")
-                return usage(argv[0]);
-            metricsFormat = value;
-            printMetrics = true;
-        } else if (arg == "--metrics-out") {
-            const char *value = next();
-            if (!value)
-                return usage(argv[0]);
-            metricsOut = value;
-        } else if (arg == "--trace-out") {
-            const char *value = next();
-            if (!value)
-                return usage(argv[0]);
-            traceOut = value;
-        } else if (arg == "--spans-out") {
-            const char *value = next();
-            if (!value)
-                return usage(argv[0]);
-            spansOut = value;
-        } else if (arg == "--introspect-out") {
-            const char *value = next();
-            if (!value)
-                return usage(argv[0]);
-            introspectOut = value;
-        } else if (arg == "--flight-out") {
-            const char *value = next();
-            if (!value)
-                return usage(argv[0]);
-            flightOut = value;
-        } else if (arg == "--flight-interval-ms") {
-            const char *value = next();
-            if (!parseIntFlag(value, 1, sim::maxCount(sim::milliseconds(1)),
-                              flightIntervalMs)) {
-                std::fprintf(stderr,
-                             "%s: --flight-interval-ms wants a positive "
-                             "integer, got '%s'\n",
-                             argv[0], value ? value : "");
-                return usage(argv[0]);
-            }
-        } else if (arg == "--profile-out") {
-            const char *value = next();
-            if (!value)
-                return usage(argv[0]);
-            profileOut = value;
-        } else if (arg == "--slo") {
-            const char *value = next();
-            if (!value)
-                return usage(argv[0]);
-            sloPath = value;
-        } else if (arg == "--slo-strict") {
-            sloStrict = true;
-        } else if (arg == "--chaos" || arg.rfind("--chaos=", 0) == 0) {
-            std::string value;
-            if (arg == "--chaos") {
-                const char *v = next();
-                if (!v)
-                    return usage(argv[0]);
-                value = v;
-            } else {
-                value = arg.substr(std::strlen("--chaos="));
-            }
-            auto spec = chaos::parseChaosSpec(value);
-            if (!spec) {
-                std::fprintf(stderr, "%s: bad --chaos spec: %s\n",
-                             argv[0],
-                             spec.error().describe().c_str());
-                return usage(argv[0]);
-            }
-            chaos::ChaosEngine::instance().configure(spec.value());
-        } else {
-            return usage(argv[0]);
-        }
-    }
+    parseFlags(
+        argc, argv,
+        {{"--server", "simple|sendfile|onloaded|offloaded|none",
+          [&](const std::string &v, std::string &) {
+              return parseServer(v, config.server);
+          }},
+         {"--client", "receiver|user-space|offloaded|none",
+          [&](const std::string &v, std::string &) {
+              return parseClient(v, config.client);
+          }},
+         {"--executor", "sim|threaded",
+          [&](const std::string &v, std::string &) {
+              return exec::parseExecutorKind(v, config.executor);
+          }},
+         intFlag("--batch-max", config.batchMax, 1),
+         intFlag("--seconds", seconds, 1, sim::maxCount(sim::seconds(1))),
+         intFlag("--seed", config.seed, 0),
+         intFlag("--period-ms", periodMs, 1,
+                 sim::maxCount(sim::milliseconds(1))),
+         intFlag("--chunk-bytes", config.chunkBytes, 1),
+         realFlag("--drop", config.dropProbability, 0.0, 1.0),
+         switchFlag("--quiet-host", config.quietHost),
+         switchFlag("--no-bus-multicast", config.busMulticast, false),
+         switchFlag("--histogram", histogram),
+         switchFlag("--metrics", printMetrics),
+         {"--metrics-format", "table|json",
+          [&](const std::string &v, std::string &) {
+              if (v != "table" && v != "json")
+                  return false;
+              metricsFormat = v;
+              printMetrics = true;
+              return true;
+          }},
+         stringFlag("--metrics-out", "FILE", metricsOut),
+         stringFlag("--trace-out", "FILE", traceOut),
+         stringFlag("--spans-out", "FILE", spansOut),
+         stringFlag("--introspect-out", "FILE", introspectOut),
+         stringFlag("--flight-out", "FILE", flightOut),
+         intFlag("--flight-interval-ms", flightIntervalMs, 1,
+                 sim::maxCount(sim::milliseconds(1))),
+         stringFlag("--profile-out", "FILE", profileOut),
+         stringFlag("--slo", "FILE", sloPath),
+         switchFlag("--slo-strict", sloStrict),
+         chaos::chaosFlag()});
+    config.duration = sim::seconds(seconds);
+    config.sendPeriod = sim::milliseconds(periodMs);
 
     // Asking for flight output implies a sensible default cadence;
     // SLO rules are evaluated on the flight cadence, so --slo does too.
