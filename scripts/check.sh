@@ -18,6 +18,12 @@
 #                                  # SPSC rings, payload pool, span id
 #                                  # generator, and the full TiVo run
 #                                  # on the threaded engine)
+#   scripts/check.sh --perf-smoke  # 2 s perfbench run of every
+#                                  # end-to-end workload: fail on a
+#                                  # non-zero exit, a digest mismatch or
+#                                  # a failed operation, or on a
+#                                  # wall_ms_per_sim_s >2x the checked-in
+#                                  # baseline (scripts/perf_baseline.json)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -26,6 +32,7 @@ BUILD_DIR=build
 CMAKE_ARGS=()
 SANITIZE=0
 BENCH_SMOKE=0
+PERF_SMOKE=0
 TSAN=0
 
 for arg in "$@"; do
@@ -44,17 +51,35 @@ for arg in "$@"; do
         BUILD_DIR=build
         CMAKE_ARGS+=(-DCMAKE_BUILD_TYPE=Release)
         ;;
+      --perf-smoke)
+        PERF_SMOKE=1
+        ;;
       --tsan)
         TSAN=1
         BUILD_DIR=build-tsan
         CMAKE_ARGS+=(-DHYDRA_TSAN=ON)
         ;;
       *)
-        echo "usage: $0 [--sanitize|--no-tracing|--bench-smoke|--tsan]" >&2
+        echo "usage: $0 [--sanitize|--no-tracing|--bench-smoke|--perf-smoke|--tsan]" >&2
         exit 2
         ;;
     esac
 done
+
+if [ "$PERF_SMOKE" -eq 1 ]; then
+    # End-to-end smoke of the declared benchmark (BENCHMARK.json):
+    # each workload runs with a 2 s budget through perfbench/run.py,
+    # which builds its own Release tree. perf_smoke.py fails on a
+    # non-zero exit, a digest mismatch or a failed operation, and
+    # reshapes each wall_ms_per_sim_s into google-benchmark JSON so
+    # bench_compare.py can hold it to the same generous 2x bound as
+    # the micro rows.
+    OUT="$BUILD_DIR/perf_smoke.json"
+    mkdir -p "$BUILD_DIR"
+    python3 scripts/perf_smoke.py "$OUT"
+    python3 scripts/bench_compare.py scripts/perf_baseline.json "$OUT" 2.0
+    exit 0
+fi
 
 cmake -B "$BUILD_DIR" -S . "${CMAKE_ARGS[@]}"
 cmake --build "$BUILD_DIR" -j "$(nproc)"

@@ -14,8 +14,9 @@
  *  - packet drop / duplicate / corrupt, injected in net::Network;
  *  - slow or stalled executor sites (SimExecutor delays the posted
  *    work in virtual time; ThreadedExecutor naps the worker thread);
- *  - payload-pool exhaustion and ring overflow, injected in the
- *    channel providers;
+ *  - payload-pool exhaustion, injected in the write check every
+ *    channel transport shares (core::Channel::admit), and ring
+ *    overflow, injected in the DMA-ring transport;
  *  - scheduled device resets (`reset@MS=device[/downtime-ms]`),
  *    executed by the harness against `dev::Device::reset()`.
  *
@@ -62,7 +63,9 @@ struct ChaosSpec
     double packetCorrupt = 0.0;   ///< corrupt=P flip one payload byte
     double workerSlow = 0.0;      ///< slow=P   delay one posted task
     double workerStall = 0.0;     ///< stall=P  wedge a site for stallTime
-    double poolExhaust = 0.0;     ///< poolfail=P channel write sees OOM
+    /** poolfail=P: a channel write (local, dma-ring or remote) sees
+     * OOM, drawn per message; the write stops at the refused one. */
+    double poolExhaust = 0.0;
     double ringOverflow = 0.0;    ///< ringfull=P transport sees 0 credits
     sim::SimTime slowDelay = sim::microseconds(200); ///< slow-ms=N
     sim::SimTime stallTime = sim::milliseconds(2);   ///< stall-ms=N

@@ -1,5 +1,6 @@
 #include "core/channel.hh"
 
+#include "chaos/chaos.hh"
 #include "common/logging.hh"
 #include "core/call.hh"
 #include "core/offcode.hh"
@@ -76,30 +77,6 @@ Channel::poll(std::size_t endpoint)
     Payload message = std::move(ep.queue.front().message);
     ep.queue.pop_front();
     return message;
-}
-
-std::size_t
-Channel::pollBatch(std::size_t endpoint, std::vector<Payload> &out,
-                   std::size_t max)
-{
-    if (endpoint >= endpoints_.size() || max == 0)
-        return 0;
-    Endpoint &ep = endpoints_[endpoint];
-    if (ep.queue.empty())
-        return 0;
-    // One clock read covers the whole drained backlog; per-item
-    // latency still varies because each entry carries its own sentAt.
-    sim::SimTime deliveredAt = 0;
-    if (deliveryLatency_ && ep.site)
-        deliveredAt = ep.site->machine().executor().now();
-    std::size_t drained = 0;
-    while (drained < max && !ep.queue.empty()) {
-        recordDelivery(ep, ep.queue.front().sentAt, deliveredAt);
-        out.push_back(std::move(ep.queue.front().message));
-        ep.queue.pop_front();
-        ++drained;
-    }
-    return drained;
 }
 
 ExecutionSite *
@@ -210,28 +187,42 @@ Channel::connectOffcode(Offcode &offcode)
     return Status::success();
 }
 
-void
-Channel::deliverTo(std::size_t endpoint, const Payload &message,
-                   std::size_t from, sim::SimTime sentAt,
-                   sim::SimTime deliveredAt)
+Channel::Admitted
+Channel::admit(std::size_t from, std::span<const Payload> messages,
+               std::size_t maxBytes, sim::SimTime now) const
 {
-    if (endpoint >= endpoints_.size())
-        return;
-    ++stats_.messagesDelivered;
-    {
-        static obs::Counter &delivered =
-            obs::counter("channel.messages_delivered");
-        delivered.increment();
+    Admitted admitted;
+    if (messages.empty())
+        return admitted;
+    if (closed_) {
+        admitted.status = Status(ErrorCode::ChannelClosed, "channel closed");
+        return admitted;
     }
-    Endpoint &ep = endpoints_[endpoint];
-    if (ep.handler) {
-        recordDelivery(ep, sentAt, deliveredAt);
-        ep.handler(message, from);
-        return;
+    if (from >= endpoints_.size()) {
+        admitted.status = Status(ErrorCode::OutOfRange, "bad endpoint");
+        return admitted;
     }
-    // No handler yet: latency resolves when the message is polled or
-    // drained by a late-installed handler.
-    ep.queue.push_back(Queued{message, obs::activeContext(), sentAt});
+    if (endpoints_.size() < 2) {
+        admitted.status =
+            Status(ErrorCode::ChannelNotConnected, "no peer endpoint");
+        return admitted;
+    }
+    chaos::ChaosEngine &chaos = chaos::ChaosEngine::instance();
+    for (const Payload &message : messages) {
+        if (message.size() > maxBytes) {
+            admitted.status =
+                Status(ErrorCode::MessageTooLarge, "message too large");
+            break;
+        }
+        if (chaos.exhaustPool(now)) {
+            admitted.status = Status(ErrorCode::OutOfMemory,
+                                     "chaos: payload pool exhausted");
+            break;
+        }
+        ++admitted.count;
+        admitted.bytes += message.size();
+    }
+    return admitted;
 }
 
 void
@@ -261,7 +252,7 @@ Channel::deliverBatchTo(std::size_t endpoint,
         return;
     }
     // No handler yet: queue the batch under one captured context;
-    // latency resolves at poll()/pollBatch() or handler install.
+    // latency resolves at poll() or handler install.
     const obs::SpanContext ctx = obs::activeContext();
     for (const Payload &message : messages)
         ep.queue.push_back(Queued{message, ctx, sentAt});

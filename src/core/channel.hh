@@ -131,13 +131,12 @@ class Channel
         return writeFrom(0, std::move(message));
     }
 
-    /**
-     * Write from any endpoint; delivered to every other endpoint.
-     * The message is a shared immutable buffer: every destination,
-     * scheduled lambda, and backlog entry holds a reference to the
-     * same bytes — nothing on the path may mutate them.
-     */
-    virtual Status writeFrom(std::size_t endpoint, Payload message) = 0;
+    /** Write one message from any endpoint: a batch of one. */
+    Status
+    writeFrom(std::size_t endpoint, Payload message)
+    {
+        return writeBatchFrom(endpoint, {&message, 1});
+    }
 
     /** Creator-side batch write (endpoint 0). */
     Status writeBatch(std::vector<Payload> messages)
@@ -146,25 +145,19 @@ class Channel
     }
 
     /**
-     * Write a batch of messages from one endpoint in a single
-     * transport visit. Semantically equivalent to writing each
-     * message in order; transports override it to amortize per-item
-     * cost (one clock resolve, one scheduled delivery event, one DMA
-     * descriptor chain per batch) while still feeding
-     * channel.delivery_latency_ns per item. Stops at the first
-     * failing message and reports its status; earlier messages stay
-     * sent. Elements are moved from.
+     * The one transport write: send @p messages from @p endpoint to
+     * every other endpoint, in order. Each message is a shared
+     * immutable buffer: every destination, scheduled lambda, and
+     * backlog entry holds a reference to the same bytes — nothing on
+     * the path may mutate them. A batch costs one transport visit
+     * (one clock read, one scheduled delivery event or DMA descriptor
+     * chain per destination) while channel.delivery_latency_ns still
+     * records per item. Stops at the first refused message and
+     * reports its status; earlier messages stay sent. Elements are
+     * moved from.
      */
-    virtual Status
-    writeBatchFrom(std::size_t endpoint, std::span<Payload> messages)
-    {
-        for (Payload &message : messages) {
-            Status status = writeFrom(endpoint, std::move(message));
-            if (!status)
-                return status;
-        }
-        return Status::success();
-    }
+    virtual Status writeBatchFrom(std::size_t endpoint,
+                                  std::span<Payload> messages) = 0;
 
     /** Install a dispatch handler at the creator endpoint. */
     void installCallHandler(Handler handler)
@@ -176,15 +169,6 @@ class Channel
 
     /** Non-blocking read of a queued message (no handler installed). */
     Result<Payload> poll(std::size_t endpoint);
-
-    /**
-     * Batch poll: drain up to @p max queued messages into @p out
-     * (appended), resolving the clock once for the whole backlog
-     * visit while still recording per-item delivery latency. Returns
-     * the number drained (0 when the queue is empty).
-     */
-    std::size_t pollBatch(std::size_t endpoint, std::vector<Payload> &out,
-                          std::size_t max);
 
     /**
      * Attach an Offcode: constructs its endpoint at the Offcode's
@@ -259,25 +243,36 @@ class Channel
     /** Register an endpoint; providers may veto cross-site layouts. */
     virtual Result<std::size_t> addEndpoint(ExecutionSite &site);
 
-    /**
-     * Final delivery into handler or queue (updates stats).
-     * @p sentAt is the write timestamp; a named channel resolves it
-     * here (handler) or at poll() time into its latency histogram.
-     * @p deliveredAt is the transport's already-computed clock value
-     * (0 = unknown): passing it keeps the hot path free of a second
-     * executor clock read, which matters on the sub-microsecond
-     * zero-copy path (check.sh's <5% channel overhead gate).
-     */
-    void deliverTo(std::size_t endpoint, const Payload &message,
-                   std::size_t from, sim::SimTime sentAt,
-                   sim::SimTime deliveredAt = 0);
+    /** The prefix of a batch a transport may send. */
+    struct Admitted
+    {
+        std::size_t count = 0; ///< messages admitted, from the front
+        std::size_t bytes = 0; ///< their summed size
+        Status status;         ///< success, or the first refusal
+    };
 
     /**
-     * Vectored delivery of one sender's batch to one endpoint: stats
-     * and the shared delivered-counter update once for the batch, the
-     * clock resolves at most once, and each message still lands in
-     * the handler (or queue) — and the latency histogram —
-     * individually, in span order.
+     * The write check every transport shares. The whole batch is
+     * refused when the channel is closed, @p from is out of range, or
+     * there is no peer. Otherwise messages are admitted from the front
+     * until one exceeds @p maxBytes (MessageTooLarge) or the chaos
+     * poolfail fault refuses it (OutOfMemory); nothing after the first
+     * refusal is admitted. @p now stamps an injected fault.
+     */
+    Admitted admit(std::size_t from, std::span<const Payload> messages,
+                   std::size_t maxBytes, sim::SimTime now) const;
+
+    /**
+     * Final delivery of one sender's batch to one endpoint: stats and
+     * the shared delivered-counter update once for the batch, and each
+     * message lands in the handler (or queue) — and the latency
+     * histogram — individually, in span order. @p sentAt is the write
+     * timestamp; a named channel resolves it here (handler) or at
+     * poll() time into its latency histogram. @p deliveredAt is the
+     * transport's already-computed clock value (0 = unknown, resolved
+     * at most once here): passing it keeps the hot path free of a
+     * second executor clock read, which matters on the sub-microsecond
+     * zero-copy path (check.sh's <5% channel overhead gate).
      */
     void deliverBatchTo(std::size_t endpoint,
                         std::span<const Payload> messages,

@@ -94,45 +94,45 @@ class LocalChannel : public Channel
     }
 
     Status
-    writeFrom(std::size_t from, Payload message) override
+    writeBatchFrom(std::size_t from, std::span<Payload> messages) override
     {
-        if (closed_)
-            return Status(ErrorCode::ChannelClosed, "channel closed");
-        if (from >= endpoints_.size())
-            return Status(ErrorCode::OutOfRange, "bad endpoint");
-        if (endpoints_.size() < 2)
-            return Status(ErrorCode::ChannelNotConnected,
-                          "no peer endpoint");
-        if (message.size() > config_.maxMessageBytes)
-            return Status(ErrorCode::MessageTooLarge, "message too large");
-        if (chaos::ChaosEngine::instance().exhaustPool(exec_.now()))
-            return Status(ErrorCode::OutOfMemory,
-                          "chaos: payload pool exhausted");
-
-        ++stats_.messagesSent;
-        stats_.bytesSent += message.size();
-        localMetrics().sent.increment();
-        localMetrics().bytes.add(message.size());
-
-        // Enqueue costs a little compute at the sender's site.
-        if (endpoints_[from].site)
-            endpoints_[from].site->run(250);
-
         const sim::SimTime sentAt = exec_.now();
+        const Admitted admitted =
+            admit(from, messages, config_.maxMessageBytes, sentAt);
+        if (admitted.count == 0)
+            return admitted.status;
+        stats_.messagesSent += admitted.count;
+        stats_.bytesSent += admitted.bytes;
+        localMetrics().sent.add(admitted.count);
+        localMetrics().bytes.add(admitted.bytes);
+
+        // Enqueue costs a little compute per message at the sender's
+        // site. run() accrues site busy time without advancing the
+        // clock, so a batch costs the same cycles and stamps the same
+        // sentAt as the messages written one by one.
+        if (endpoints_[from].site)
+            endpoints_[from].site->run(250 * admitted.count);
+
         // Capture the sender's causal context; delivery runs later
         // from the scheduler with an empty one.
         const obs::SpanContext ctx = obs::activeContext();
+        const std::span<const Payload> sent =
+            messages.first(admitted.count);
         for (std::size_t ep = 0; ep < endpoints_.size(); ++ep) {
             if (ep == from)
                 continue;
-            // The lambda shares the sender's buffer (refcount bump);
-            // every destination of a fan-out sees the same bytes.
+            // ONE scheduled event (and one clock read on arrival)
+            // delivers the batch to this destination; its copy shares
+            // the sender's buffers (refcount bumps), so every
+            // destination of a fan-out sees the same bytes.
             exec_.schedule(
                 costs_.localLatency,
                 [this, ep, from, sentAt, ctx,
-                 msg = message]() {
+                 batch = std::vector<Payload>(sent.begin(), sent.end())]() {
                     const sim::SimTime deliveredAt = exec_.now();
-                    localMetrics().latencyNs.record(deliveredAt - sentAt);
+                    for (std::size_t i = 0; i < batch.size(); ++i)
+                        localMetrics().latencyNs.record(deliveredAt -
+                                                        sentAt);
                     obs::ContextScope scope(ctx);
                     obs::Span span;
                     ExecutionSite *dst = endpoints_[ep].site;
@@ -140,80 +140,10 @@ class LocalChannel : public Channel
                         span.open(dst->machine().name(), dst->name(),
                                   "channel.send", "channel", sentAt);
                     span.end(deliveredAt);
-                    deliverTo(ep, msg, from, sentAt, deliveredAt);
+                    deliverBatchTo(ep, batch, from, sentAt, deliveredAt);
                 });
         }
-        return Status::success();
-    }
-
-    Status
-    writeBatchFrom(std::size_t from, std::span<Payload> messages) override
-    {
-        if (messages.empty())
-            return Status::success();
-        if (closed_)
-            return Status(ErrorCode::ChannelClosed, "channel closed");
-        if (from >= endpoints_.size())
-            return Status(ErrorCode::OutOfRange, "bad endpoint");
-        if (endpoints_.size() < 2)
-            return Status(ErrorCode::ChannelNotConnected,
-                          "no peer endpoint");
-        // Writes are all-or-stop-at-first-failure: send the valid
-        // prefix, then report the offender (matches the base loop).
-        std::size_t valid = 0;
-        std::size_t bytes = 0;
-        while (valid < messages.size() &&
-               messages[valid].size() <= config_.maxMessageBytes)
-            bytes += messages[valid++].size();
-
-        if (valid > 0) {
-            stats_.messagesSent += valid;
-            stats_.bytesSent += bytes;
-            localMetrics().sent.add(valid);
-            localMetrics().bytes.add(bytes);
-
-            // Enqueue compute per message (identical charge to the
-            // unbatched path: run() accrues site busy time without
-            // advancing the clock, so a batch write costs the same
-            // cycles and stamps the same sentAt as N single writes).
-            if (endpoints_[from].site)
-                endpoints_[from].site->run(250 * valid);
-
-            const sim::SimTime sentAt = exec_.now();
-            const obs::SpanContext ctx = obs::activeContext();
-            auto batch = std::make_shared<std::vector<Payload>>();
-            batch->reserve(valid);
-            for (std::size_t i = 0; i < valid; ++i)
-                batch->push_back(std::move(messages[i]));
-            for (std::size_t ep = 0; ep < endpoints_.size(); ++ep) {
-                if (ep == from)
-                    continue;
-                // ONE scheduled event (and one clock resolve on
-                // arrival) delivers the whole batch to this
-                // destination; every destination shares the same
-                // refcounted buffers.
-                exec_.schedule(
-                    costs_.localLatency,
-                    [this, ep, from, sentAt, ctx, batch]() {
-                        const sim::SimTime deliveredAt = exec_.now();
-                        for (std::size_t i = 0; i < batch->size(); ++i)
-                            localMetrics().latencyNs.record(deliveredAt -
-                                                            sentAt);
-                        obs::ContextScope scope(ctx);
-                        obs::Span span;
-                        ExecutionSite *dst = endpoints_[ep].site;
-                        if (HYDRA_TRACE_ACTIVE() && dst)
-                            span.open(dst->machine().name(), dst->name(),
-                                      "channel.send", "channel", sentAt);
-                        span.end(deliveredAt);
-                        deliverBatchTo(ep, *batch, from, sentAt,
-                                       deliveredAt);
-                    });
-            }
-        }
-        if (valid < messages.size())
-            return Status(ErrorCode::MessageTooLarge, "message too large");
-        return Status::success();
+        return admitted.status;
     }
 
   private:
@@ -259,45 +189,40 @@ class RingChannel : public Channel
     }
 
     Status
-    writeFrom(std::size_t from, Payload message) override
+    writeBatchFrom(std::size_t from, std::span<Payload> messages) override
     {
-        if (closed_)
-            return Status(ErrorCode::ChannelClosed, "channel closed");
-        if (from >= endpoints_.size())
-            return Status(ErrorCode::OutOfRange, "bad endpoint");
-        if (endpoints_.size() < 2)
-            return Status(ErrorCode::ChannelNotConnected,
-                          "no peer endpoint");
-        if (message.size() > config_.maxMessageBytes)
-            return Status(ErrorCode::MessageTooLarge, "message too large");
-        if (chaos::ChaosEngine::instance().exhaustPool(exec_.now()))
-            return Status(ErrorCode::OutOfMemory,
-                          "chaos: payload pool exhausted");
-
-        ++stats_.messagesSent;
-        stats_.bytesSent += message.size();
-        ringMetrics().sent.increment();
-        ringMetrics().bytes.add(message.size());
         const sim::SimTime sentAt = exec_.now();
+        const Admitted admitted =
+            admit(from, messages, config_.maxMessageBytes, sentAt);
+        if (admitted.count == 0)
+            return admitted.status;
+        stats_.messagesSent += admitted.count;
+        stats_.bytesSent += admitted.bytes;
+        ringMetrics().sent.add(admitted.count);
+        ringMetrics().bytes.add(admitted.bytes);
 
-        // Sender-side descriptor preparation.
+        // Sender-side descriptor preparation: the CPU builds one
+        // descriptor per message (a batch saves doorbells and bus
+        // turnarounds, not descriptor writes).
         ExecutionSite *src = endpoints_[from].site;
         if (src->isHost()) {
             hw::Machine &machine = src->machine();
-            machine.cpu().runCycles(costs_.hostDescriptorCycles);
+            machine.cpu().runCycles(costs_.hostDescriptorCycles *
+                                    admitted.count);
             if (config_.buffering == ChannelConfig::Buffering::Copying) {
                 // Staged copy into the ring slot (pollutes L2).
-                copyMetrics().copying.increment();
+                copyMetrics().copying.add(admitted.count);
                 EpState &st = state_[from];
-                const hw::Addr slot =
-                    st.ringBuffer +
-                    st.slot * config_.maxMessageBytes;
-                st.slot = (st.slot + 1) % config_.ringDepth;
-                machine.os().copyBytes(st.userBuffer, slot,
-                                       message.size());
+                for (std::size_t i = 0; i < admitted.count; ++i) {
+                    const hw::Addr slot =
+                        st.ringBuffer + st.slot * config_.maxMessageBytes;
+                    st.slot = (st.slot + 1) % config_.ringDepth;
+                    machine.os().copyBytes(st.userBuffer, slot,
+                                           messages[i].size());
+                }
             }
         } else {
-            src->run(costs_.deviceDescriptorCycles);
+            src->run(costs_.deviceDescriptorCycles * admitted.count);
         }
 
         // One multicast bus transaction can cover all device
@@ -310,80 +235,12 @@ class RingChannel : public Channel
             const bool charge =
                 !busMulticast_ || !sharedCrossingCharged ||
                 endpoints_[ep].site->isHost();
-            transport(from, ep, {&message, 1}, charge, sentAt, ctx);
+            transport(from, ep, messages.first(admitted.count), charge,
+                      sentAt, ctx);
             if (!endpoints_[ep].site->isHost())
                 sharedCrossingCharged = true;
         }
-        return Status::success();
-    }
-
-    Status
-    writeBatchFrom(std::size_t from, std::span<Payload> messages) override
-    {
-        if (messages.empty())
-            return Status::success();
-        if (closed_)
-            return Status(ErrorCode::ChannelClosed, "channel closed");
-        if (from >= endpoints_.size())
-            return Status(ErrorCode::OutOfRange, "bad endpoint");
-        if (endpoints_.size() < 2)
-            return Status(ErrorCode::ChannelNotConnected,
-                          "no peer endpoint");
-        std::size_t valid = 0;
-        std::size_t bytes = 0;
-        while (valid < messages.size() &&
-               messages[valid].size() <= config_.maxMessageBytes)
-            bytes += messages[valid++].size();
-
-        if (valid > 0) {
-            stats_.messagesSent += valid;
-            stats_.bytesSent += bytes;
-            ringMetrics().sent.add(valid);
-            ringMetrics().bytes.add(bytes);
-            const sim::SimTime sentAt = exec_.now();
-
-            // Sender-side descriptor preparation: the CPU still
-            // builds one descriptor per message (the batch saves
-            // doorbells and bus turnarounds, not descriptor writes).
-            ExecutionSite *src = endpoints_[from].site;
-            if (src->isHost()) {
-                hw::Machine &machine = src->machine();
-                machine.cpu().runCycles(costs_.hostDescriptorCycles *
-                                        valid);
-                if (config_.buffering ==
-                    ChannelConfig::Buffering::Copying) {
-                    copyMetrics().copying.add(valid);
-                    EpState &st = state_[from];
-                    for (std::size_t i = 0; i < valid; ++i) {
-                        const hw::Addr slot =
-                            st.ringBuffer +
-                            st.slot * config_.maxMessageBytes;
-                        st.slot = (st.slot + 1) % config_.ringDepth;
-                        machine.os().copyBytes(st.userBuffer, slot,
-                                               messages[i].size());
-                    }
-                }
-            } else {
-                src->run(costs_.deviceDescriptorCycles * valid);
-            }
-
-            const obs::SpanContext ctx = obs::activeContext();
-            bool sharedCrossingCharged = false;
-            for (std::size_t ep = 0; ep < endpoints_.size(); ++ep) {
-                if (ep == from)
-                    continue;
-                const bool charge =
-                    !busMulticast_ || !sharedCrossingCharged ||
-                    endpoints_[ep].site->isHost();
-                transport(from, ep, messages.first(valid), charge,
-                          sentAt, ctx);
-                if (!endpoints_[ep].site->isHost())
-                    sharedCrossingCharged = true;
-            }
-        }
-        if (valid < messages.size())
-            return Status(ErrorCode::MessageTooLarge, "message too large");
-        return Status::success();
+        return admitted.status;
     }
 
   private:

@@ -263,36 +263,4 @@ ProgrammableNic::sendFromHost(net::Packet packet, hw::Addr host_buffer)
     return Status::success();
 }
 
-Status
-ProgrammableNic::sendFromHostBatch(std::vector<net::Packet> packets,
-                                   hw::Addr host_buffer)
-{
-    (void)host_buffer; // the cache/copy interaction is the caller's
-    if (packets.empty())
-        return Status::success();
-    for (net::Packet &packet : packets)
-        packet.src = node_;
-    sent_ += packets.size();
-
-    // One bus crossing covers the whole descriptor chain; per-packet
-    // firmware tx cost is unchanged — batching amortizes the
-    // doorbell and completion, not the packet processing.
-    const std::size_t bytes =
-        net::payloadBytes({packets.data(), packets.size()});
-    const obs::SpanContext ctx = obs::activeContext();
-    dma().start(bytes, [this, ctx,
-                        batch = std::move(packets)]() mutable {
-        obs::ContextScope scope(ctx);
-        runFirmware(costs_.txFirmwareCycles * batch.size());
-        for (net::Packet &pkt : batch) {
-            Status sent = net_.send(std::move(pkt));
-            if (!sent) {
-                LOG_DEBUG << "nic tx failed: "
-                          << sent.error().describe();
-            }
-        }
-    });
-    return Status::success();
-}
-
 } // namespace hydra::dev

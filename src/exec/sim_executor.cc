@@ -434,18 +434,6 @@ SimExecutor::post(SiteId site, Callback fn)
 }
 
 void
-SimExecutor::postBatch(SiteId site, std::span<Callback> fns)
-{
-    // One zero-delay event per element, in span order: exactly the
-    // event ids, counters, and dispatch order N individual post()
-    // calls would produce, so a batched run replays byte-identical to
-    // an unbatched one. Batching under sim is a pure API convenience
-    // (and chaos draws fire per element, same as unbatched).
-    for (Callback &fn : fns)
-        post(site, std::move(fn));
-}
-
-void
 SimExecutor::drain()
 {
     // Run everything due at the current instant — post() chains

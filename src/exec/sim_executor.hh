@@ -52,7 +52,6 @@ class SimExecutor : public Executor
     std::size_t siteCount() const override { return siteNames_.size(); }
 
     void post(SiteId site, Callback fn) override;
-    void postBatch(SiteId site, std::span<Callback> fns) override;
 
     void runUntil(Time until) override;
     void runToCompletion() override;

@@ -2,18 +2,18 @@
  * @file
  * Bounded single-producer/single-consumer ring (the threaded
  * executor's inter-site handoff). Lock-free and wait-free on both
- * ends: one producer thread calls push()/pushBatch(), one consumer
- * thread calls pop()/popBatch(), synchronized by two acquire/release
- * indices. Each side keeps a cached copy of the other's index so the
- * common case touches only one shared cache line.
+ * ends: one producer thread calls pushBatch(), one consumer thread
+ * calls popBatch(), synchronized by two acquire/release indices. Each
+ * side keeps a cached copy of the other's index so the common case
+ * touches only one shared cache line. A single item is a batch of one.
  *
- * Batch operations amortize the index publication: pushBatch() moves
- * N items with ONE tail store (one doorbell-visible update instead of
- * N), popBatch() consumes N with one head store. Consumed slots are
- * reset to a default-constructed T before the head index is
- * published, so resources the slot held (pooled Payload buffers
- * inside queued closures) release at consumption time instead of
- * living until the ring wraps and overwrites the slot.
+ * Each call publishes ONE index store for however many items it
+ * moves: pushBatch() one tail store (one doorbell-visible update
+ * instead of N), popBatch() one head store. Consumed slots are reset
+ * to a default-constructed T before the head index is published, so
+ * resources the slot held (pooled Payload buffers inside queued
+ * closures) release at consumption time instead of living until the
+ * ring wraps and overwrites the slot.
  */
 
 #ifndef HYDRA_EXEC_SPSC_QUEUE_HH
@@ -44,21 +44,6 @@ class SpscQueue
     SpscQueue(const SpscQueue &) = delete;
     SpscQueue &operator=(const SpscQueue &) = delete;
 
-    /** Producer side. False when the ring is full. */
-    bool
-    push(T &&item)
-    {
-        const std::size_t tail = tail_.load(std::memory_order_relaxed);
-        if (tail - cachedHead_ > mask_) {
-            cachedHead_ = head_.load(std::memory_order_acquire);
-            if (tail - cachedHead_ > mask_)
-                return false;
-        }
-        slots_[tail & mask_] = std::move(item);
-        tail_.store(tail + 1, std::memory_order_release);
-        return true;
-    }
-
     /**
      * Producer side: move as many of @p items into the ring as fit,
      * publishing ONE tail store for the whole batch. Returns the
@@ -82,25 +67,6 @@ class SpscQueue
         if (count > 0)
             tail_.store(tail + count, std::memory_order_release);
         return count;
-    }
-
-    /** Consumer side. False when the ring is empty. */
-    bool
-    pop(T &out)
-    {
-        const std::size_t head = head_.load(std::memory_order_relaxed);
-        if (head == cachedTail_) {
-            cachedTail_ = tail_.load(std::memory_order_acquire);
-            if (head == cachedTail_)
-                return false;
-        }
-        out = std::move(slots_[head & mask_]);
-        // Reset the consumed slot: a moved-from T may legally keep its
-        // old value (and the resources it pins) alive until the ring
-        // wraps back around; pooled Payload refs must drop now.
-        slots_[head & mask_] = T();
-        head_.store(head + 1, std::memory_order_release);
-        return true;
     }
 
     /**

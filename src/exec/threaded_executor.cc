@@ -262,47 +262,7 @@ ThreadedExecutor::wake(Worker &worker)
 void
 ThreadedExecutor::post(SiteId site, Callback fn)
 {
-    metrics().posts.increment();
-    Worker *worker = site <= kMaxSites
-                         ? siteTable_[site].load(std::memory_order_acquire)
-                         : nullptr;
-    if (!worker) {
-        // The main loop is its own site: run as a zero-delay event.
-        if (onCoordinator()) {
-            pushTimer(TimerRecord{
-                now(), nextId_.fetch_add(1, std::memory_order_relaxed),
-                std::move(fn)});
-        } else {
-            scheduleAt(now(), std::move(fn));
-        }
-        return;
-    }
-    postsPending_.fetch_add(1, std::memory_order_acq_rel);
-
-    // Only the coordinator and site workers own a producer slot; any
-    // other thread would alias the coordinator's ring (tl_currentSite
-    // defaults to kMainSite), so it serializes through the overflow
-    // lane instead of breaking the ring's single-producer contract.
-    const SiteId producer = tl_currentSite;
-    const bool ownsRing = producer != kMainSite || onCoordinator();
-    Inbox &inbox = inboxFor(*worker, producer);
-    if (ownsRing &&
-        inbox.overflowSize.load(std::memory_order_acquire) == 0 &&
-        inbox.ring.push(std::move(fn))) {
-        wake(*worker);
-        return;
-    }
-    // Ring full (burst) or foreign producer: spill to the mutex-guarded
-    // overflow lane rather than block. The overflowSize gate keeps this
-    // producer spilling until the worker catches up, preserving
-    // per-(producer, site) FIFO order.
-    metrics().overflow.increment();
-    {
-        std::lock_guard<std::mutex> lock(inbox.mutex);
-        inbox.overflow.push_back(std::move(fn));
-        inbox.overflowSize.fetch_add(1, std::memory_order_release);
-    }
-    wake(*worker);
+    postBatch(site, {&fn, 1});
 }
 
 void
@@ -310,19 +270,30 @@ ThreadedExecutor::postBatch(SiteId site, std::span<Callback> fns)
 {
     if (fns.empty())
         return;
+    metrics().posts.add(fns.size());
     Worker *worker = site <= kMaxSites
                          ? siteTable_[site].load(std::memory_order_acquire)
                          : nullptr;
     if (!worker) {
-        // Main-loop target: fall back to per-item zero-delay events
-        // (order is what matters there, not handoff cost).
-        for (Callback &fn : fns)
-            post(site, std::move(fn));
+        // The main loop is its own site: each callback runs as a
+        // zero-delay event, in span order.
+        for (Callback &fn : fns) {
+            if (onCoordinator()) {
+                pushTimer(TimerRecord{
+                    now(), nextId_.fetch_add(1, std::memory_order_relaxed),
+                    std::move(fn)});
+            } else {
+                scheduleAt(now(), std::move(fn));
+            }
+        }
         return;
     }
-    metrics().posts.add(fns.size());
     postsPending_.fetch_add(fns.size(), std::memory_order_acq_rel);
 
+    // Only the coordinator and site workers own a producer slot; any
+    // other thread would alias the coordinator's ring (tl_currentSite
+    // defaults to kMainSite), so it serializes through the overflow
+    // lane instead of breaking the ring's single-producer contract.
     const SiteId producer = tl_currentSite;
     const bool ownsRing = producer != kMainSite || onCoordinator();
     Inbox &inbox = inboxFor(*worker, producer);
@@ -333,10 +304,11 @@ ThreadedExecutor::postBatch(SiteId site, std::span<Callback> fns)
         pushed = inbox.ring.pushBatch(fns);
     }
     if (pushed < fns.size()) {
-        // Remainder (ring full, or a foreign producer): spill under
-        // ONE lock hold. The overflowSize gate then keeps this
+        // Remainder (ring full in a burst, or a foreign producer):
+        // spill to the mutex-guarded overflow lane under ONE lock hold
+        // rather than block. The overflowSize gate then keeps this
         // producer spilling until the worker catches up, preserving
-        // per-(producer, site) FIFO exactly as in post().
+        // per-(producer, site) FIFO order.
         const std::size_t spilled = fns.size() - pushed;
         metrics().overflow.add(spilled);
         std::lock_guard<std::mutex> lock(inbox.mutex);

@@ -93,6 +93,7 @@ class ThreadedExecutor : public Executor
     SiteId addSite(const std::string &name) override;
     std::size_t siteCount() const override;
 
+    /** A post is a batch of one: it forwards to postBatch(). */
     void post(SiteId site, Callback fn) override;
     void postBatch(SiteId site, std::span<Callback> fns) override;
 

@@ -85,7 +85,7 @@ countMalformedFrame()
  * host, its frames serialize through that host's DMA engine and
  * uplink, and the fabric delivers in order per (src, dst) node pair.
  *
- * Thread model: writeFrom may run on any driver site; delivery runs
+ * Thread model: a write may run on any driver site; delivery runs
  * on the coordinator (scheduled events). A per-channel recursive
  * mutex guards endpoints_/stats_; recursive so a receive handler may
  * write back into the same channel synchronously.
@@ -112,42 +112,35 @@ class RemoteChannel : public core::Channel
     }
 
     Status
-    writeFrom(std::size_t from, Payload message) override
+    writeBatchFrom(std::size_t from, std::span<Payload> messages) override
     {
         std::lock_guard<exec::EngineRecursiveMutex> lock(mutex_);
-        if (closed_)
-            return Status(ErrorCode::ChannelClosed, "channel closed");
-        if (from >= endpoints_.size())
-            return Status(ErrorCode::OutOfRange, "bad endpoint");
-        if (endpoints_.size() < 2)
-            return Status(ErrorCode::ChannelNotConnected,
-                          "no peer endpoint");
-        // Refused before it counts as sent, like the local and ring
-        // transports: the ledger (sent == delivered + dropped) holds.
-        if (message.size() > config_.maxMessageBytes ||
-            message.size() > wireLimit_)
-            return Status(ErrorCode::MessageTooLarge,
-                          "message exceeds wire frame limit");
-
-        ++stats_.messagesSent;
-        stats_.bytesSent += message.size();
-        RemoteMetrics &metrics = remoteMetrics();
-        metrics.sent.increment();
-        metrics.bytes.add(message.size());
-
+        // A refused message never counts as sent, so the ledger
+        // (sent == delivered + dropped) holds on every transport.
         const sim::SimTime sentAt = home_.machine().executor().now();
-        Wire &src = wires_[from];
+        const Admitted admitted =
+            admit(from, messages,
+                  std::min(config_.maxMessageBytes, wireLimit_), sentAt);
+        if (admitted.count == 0)
+            return admitted.status;
+        stats_.messagesSent += admitted.count;
+        stats_.bytesSent += admitted.bytes;
+        RemoteMetrics &metrics = remoteMetrics();
+        metrics.sent.add(admitted.count);
+        metrics.bytes.add(admitted.bytes);
 
-        for (std::size_t to = 0; to < endpoints_.size(); ++to) {
-            if (to == from)
-                continue;
-            if (wires_[to].host == src.host) {
-                sendLocalLeg(from, to, message, sentAt);
-                continue;
+        const Host *srcHost = wires_[from].host;
+        for (const Payload &message : messages.first(admitted.count)) {
+            for (std::size_t to = 0; to < endpoints_.size(); ++to) {
+                if (to == from)
+                    continue;
+                if (wires_[to].host == srcHost)
+                    sendLocalLeg(from, to, message, sentAt);
+                else
+                    sendWireLeg(from, to, message, sentAt);
             }
-            sendWireLeg(from, to, message, sentAt);
         }
-        return Status::success();
+        return admitted.status;
     }
 
     /** The executive assigned our id: route it on every endpoint's
@@ -320,7 +313,7 @@ class RemoteChannel : public core::Channel
         std::lock_guard<exec::EngineRecursiveMutex> lock(mutex_);
         if (closed_ || to >= endpoints_.size())
             return;
-        deliverTo(to, message, from, sentAt);
+        deliverBatchTo(to, {&message, 1}, from, sentAt);
     }
 
     /** Inbound frame from @p host's fabric table (called with that
@@ -347,7 +340,8 @@ class RemoteChannel : public core::Channel
         seen = header.seq + 1;
         if (endpoints_[to].site)
             endpoints_[to].site->run(kCosts.rxDescriptorCycles);
-        deliverTo(to, body, from, static_cast<sim::SimTime>(header.sentAt));
+        deliverBatchTo(to, {&body, 1}, from,
+                       static_cast<sim::SimTime>(header.sentAt));
     }
 
     Fleet &fleet_;

@@ -43,6 +43,9 @@ struct RunState
     std::vector<std::unique_ptr<std::atomic<std::uint64_t>>> delivered;
     std::atomic<std::uint64_t> churned{0};
     std::atomic<std::uint64_t> writeFailures{0};
+    /** Per stream: some write succeeded. Bytes beside, not inside,
+     * Stream keep it one cache line; only the home driver writes one. */
+    std::vector<std::uint8_t> wrote;
 };
 
 Host &
@@ -118,8 +121,13 @@ writeOne(RunState &state, Stream &stream)
     buffer.resize(std::max(sizeof(stamp), state.config.messageBytes));
     std::memcpy(buffer.data(), &stamp, sizeof(stamp));
     Status written = stream.channel->write(builder.seal());
-    if (!written)
+    if (!written) {
         state.writeFailures.fetch_add(1, std::memory_order_relaxed);
+        return;
+    }
+    std::uint8_t &wrote = state.wrote[&stream - state.streams.data()];
+    if (!wrote)
+        wrote = 1; // test first: no store per write
 }
 
 /** Destroy + recreate one stream (the churn path). */
@@ -156,8 +164,9 @@ runOpenLoop(Fleet &fleet, const LoadgenConfig &config)
 
     RunState state{fleet, config,
                    obs::histogram("fleet.delivery_ns"),
-                   {}, {}, {}, {}, {}};
+                   {}, {}, {}, {}, {}, {}};
     state.streams.resize(config.streams);
+    state.wrote.assign(config.streams, 0);
     state.byHome.resize(fleet.hostCount());
     for (std::size_t h = 0; h < fleet.hostCount(); ++h)
         state.delivered.push_back(
@@ -316,6 +325,8 @@ runOpenLoop(Fleet &fleet, const LoadgenConfig &config)
         (static_cast<double>(config.duration) / 1e9);
     report.writeFailures =
         state.writeFailures.load(std::memory_order_relaxed);
+    report.activeStreams = static_cast<std::size_t>(
+        std::count(state.wrote.begin(), state.wrote.end(), 1));
     report.wallMs = std::chrono::duration<double, std::milli>(
                         wallEnd - wallStart)
                         .count();

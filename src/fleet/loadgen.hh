@@ -75,6 +75,9 @@ struct LoadgenReport
     std::size_t streams = 0;
     std::size_t remoteStreams = 0;
     std::size_t localStreams = 0;
+    /** Streams that wrote at least one message: the offered load
+     * spreads over these, not over every stream. */
+    std::size_t activeStreams = 0;
     /** Messages the pacer wrote (open-loop offered count). */
     std::uint64_t offered = 0;
     std::uint64_t delivered = 0;

@@ -1,7 +1,8 @@
 /**
  * @file
  * Chaos engine + firmware OS hardening tests (DESIGN.md §15): spec
- * parsing, seeded-draw determinism, NIC-reset-mid-stream survival
+ * parsing, seeded-draw determinism, pool exhaustion refusing channel
+ * writes on every transport, NIC-reset-mid-stream survival
  * with zero message loss on both execution engines, the per-Offcode
  * watchdog killing a wedged instance, and quota enforcement (memory
  * at deploy and at dispatch, CPU budget preemption that defers but
@@ -21,7 +22,9 @@
 #include "common/rng.hh"
 #include "core/runtime.hh"
 #include "dev/nic.hh"
+#include "core/executive.hh"
 #include "exec/sim_executor.hh"
+#include "fleet/fleet.hh"
 #include "net/network.hh"
 #include "obs/metrics.hh"
 #include "tivo/harness.hh"
@@ -286,6 +289,98 @@ TEST_F(ChaosFixture, DisabledEngineNeverFires)
         EXPECT_FALSE(engine.overflowRing(i));
     }
     EXPECT_EQ(engine.injected(), before);
+}
+
+// ------------------------------------------ pool exhaustion (poolfail)
+
+TEST_F(ChaosFixture, PoolFailRefusesABatchAtItsFirstMessageOnEveryTransport)
+{
+    // poolfail=1: every channel write, batched or single, on a local,
+    // a dma-ring and a remote channel, is refused at its first message
+    // with OutOfMemory. The refusal draws once, counts nothing as
+    // sent, and delivers nothing; disarmed, the same batch goes out.
+    exec::SimExecutor exec;
+    fleet::FleetConfig config;
+    config.hosts = 2;
+    fleet::Fleet fleet(exec, config);
+    fleet::Host &home = fleet.host(0);
+    fleet::Host &peer = fleet.host(1);
+
+    struct Case
+    {
+        const char *transport;
+        core::ExecutionSite *target;
+    };
+    const std::vector<Case> cases{
+        {"local", &home.runtime().hostSite()},
+        {"dma-ring", home.runtime().siteByName(home.nic().name())},
+        {"remote", peer.runtime().siteByName(peer.nic().name())},
+    };
+    auto spec = chaos::parseChaosSpec("1:poolfail=1");
+    ASSERT_TRUE(spec.ok());
+    auto &engine = chaos::ChaosEngine::instance();
+    auto &registry = obs::MetricsRegistry::instance();
+    const obs::Labels poolExhausted{{"fault", "pool_exhausted"}};
+    const auto batch = []() {
+        std::vector<Payload> messages;
+        for (std::uint8_t i = 0; i < 3; ++i)
+            messages.push_back(Payload(Bytes(64, i)));
+        return messages;
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.transport);
+        ASSERT_NE(c.target, nullptr);
+        core::ChannelConfig channelConfig;
+        channelConfig.targetDevice = c.target->name();
+        channelConfig.maxMessageBytes = 512;
+        auto created = home.executive().createChannel(
+            channelConfig, home.runtime().hostSite(), 64);
+        ASSERT_TRUE(created.ok()) << created.error().describe();
+        core::Channel *channel = created.value();
+        auto endpoint = channel->connectSite(*c.target);
+        ASSERT_TRUE(endpoint.ok());
+        std::uint64_t handled = 0;
+        channel->installHandler(endpoint.value(),
+                                [&handled](const Payload &, std::size_t) {
+                                    ++handled;
+                                });
+
+        const obs::Labels transport{{"transport", c.transport}};
+        const std::uint64_t sent0 =
+            registry.counterValue("channel.messages_sent", transport);
+        const std::uint64_t delivered0 =
+            registry.counterValue("channel.messages_delivered");
+        const std::uint64_t fired0 =
+            registry.counterValue("chaos.injected", poolExhausted);
+
+        engine.configure(spec.value());
+        EXPECT_EQ(channel->writeBatch(batch()).code(),
+                  ErrorCode::OutOfMemory);
+        EXPECT_EQ(channel->write(Payload(Bytes(64, 9))).code(),
+                  ErrorCode::OutOfMemory);
+        exec.runUntil(exec.now() + sim::milliseconds(20));
+        exec.drain();
+        engine.disable();
+
+        EXPECT_EQ(registry.counterValue("chaos.injected", poolExhausted) -
+                      fired0,
+                  2u);
+        EXPECT_EQ(registry.counterValue("channel.messages_sent", transport),
+                  sent0);
+        EXPECT_EQ(registry.counterValue("channel.messages_delivered"),
+                  delivered0);
+        EXPECT_EQ(channel->stats().messagesSent, 0u);
+        EXPECT_EQ(channel->stats().bytesSent, 0u);
+        EXPECT_EQ(handled, 0u);
+
+        // Disarmed, the same batch goes through whole.
+        ASSERT_TRUE(channel->writeBatch(batch()).ok());
+        exec.runUntil(exec.now() + sim::milliseconds(20));
+        exec.drain();
+        EXPECT_EQ(channel->stats().messagesSent, 3u);
+        EXPECT_EQ(handled, 3u);
+        ASSERT_TRUE(home.executive().destroyChannel(channel->id()).ok());
+    }
 }
 
 // ------------------------------------- NIC reset survival (tentpole)

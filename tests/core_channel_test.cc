@@ -895,7 +895,7 @@ TEST_F(ChannelFixture, RingBatchBeyondDepthBacklogsAndDrainsInOrder)
             << "backlog drain reordered at " << i;
 }
 
-TEST_F(ChannelFixture, PollBatchDrainsQueuedMessagesInOrder)
+TEST_F(ChannelFixture, PollDrainsQueuedMessagesInOrder)
 {
     ChannelConfig config;
     config.targetDevice = hostSite_.name();
@@ -910,13 +910,24 @@ TEST_F(ChannelFixture, PollBatchDrainsQueuedMessagesInOrder)
             1, encodeData(Bytes{static_cast<std::uint8_t>(i)}));
     sim_.runToCompletion();
 
+    // Drain up to @p max queued messages into out, one poll() each.
     std::vector<Payload> out;
-    EXPECT_EQ(channel.value()->pollBatch(0, out, 4), 4u);
-    EXPECT_EQ(channel.value()->pollBatch(0, out, 4), 2u);
+    const auto drain = [&](std::size_t max) {
+        std::size_t drained = 0;
+        for (; drained < max; ++drained) {
+            auto message = channel.value()->poll(0);
+            if (!message)
+                break;
+            out.push_back(std::move(message).value());
+        }
+        return drained;
+    };
+    EXPECT_EQ(drain(4), 4u);
+    EXPECT_EQ(drain(4), 2u);
     ASSERT_EQ(out.size(), 6u);
     for (int i = 0; i < 6; ++i)
         EXPECT_EQ(decodeData(out[i]).value()[0], i);
-    EXPECT_EQ(channel.value()->pollBatch(0, out, 4), 0u);
+    EXPECT_EQ(drain(4), 0u);
 }
 
 } // namespace

@@ -34,6 +34,22 @@ namespace {
 
 // ---------------------------------------------------------------- SPSC
 
+/** A single push is a batch of one. */
+template <typename T>
+bool
+pushOne(SpscQueue<T> &q, T item)
+{
+    return q.pushBatch({&item, 1}) == 1;
+}
+
+/** A single pop is a batch of one. */
+template <typename T>
+bool
+popOne(SpscQueue<T> &q, T &out)
+{
+    return q.popBatch(&out, 1) == 1;
+}
+
 TEST(SpscQueueTest, RoundsCapacityToPowerOfTwo)
 {
     SpscQueue<int> q(100);
@@ -46,16 +62,16 @@ TEST(SpscQueueTest, FifoSingleThread)
 {
     SpscQueue<int> q(8);
     for (int i = 0; i < 8; ++i)
-        EXPECT_TRUE(q.push(int(i)));
+        EXPECT_TRUE(pushOne(q, int(i)));
     int overflow = 99;
-    EXPECT_FALSE(q.push(std::move(overflow))); // full
+    EXPECT_FALSE(pushOne(q, std::move(overflow))); // full
     for (int i = 0; i < 8; ++i) {
         int out = -1;
-        ASSERT_TRUE(q.pop(out));
+        ASSERT_TRUE(popOne(q, out));
         EXPECT_EQ(out, i);
     }
     int empty;
-    EXPECT_FALSE(q.pop(empty));
+    EXPECT_FALSE(popOne(q, empty));
 }
 
 TEST(SpscQueueTest, TwoThreadsTransferEverythingInOrder)
@@ -68,14 +84,14 @@ TEST(SpscQueueTest, TwoThreadsTransferEverythingInOrder)
     std::thread consumer([&]() {
         int out;
         while (received.size() < kItems) {
-            if (q.pop(out))
+            if (popOne(q, out))
                 received.push_back(out);
             else
                 std::this_thread::yield();
         }
     });
     for (int i = 0; i < kItems; ++i) {
-        while (!q.push(int(i)))
+        while (!pushOne(q, int(i)))
             std::this_thread::yield();
     }
     consumer.join();
@@ -470,7 +486,7 @@ TEST(SpscQueueBatchTest, PartialBatchWhenNearlyFull)
 {
     SpscQueue<int> q(8);
     for (int i = 0; i < 6; ++i)
-        ASSERT_TRUE(q.push(int(i)));
+        ASSERT_TRUE(pushOne(q, int(i)));
 
     std::vector<int> extra{6, 7, 8, 9};
     // Only two slots remain: the batch is accepted as a prefix.

@@ -218,8 +218,8 @@ TEST(PayloadPoolTest, SteadyStateTrafficStopsAllocating)
 TEST(PayloadPoolTest, SpscSlotReleasesBufferAfterPop)
 {
     // A popped ring slot must not retain a reference to the pooled
-    // buffer: pop() resets the slot, so dropping the consumer's copy
-    // returns the node to the freelist immediately instead of
+    // buffer: popBatch() resets the slot, so dropping the consumer's
+    // copy returns the node to the freelist immediately instead of
     // waiting for the slot to be overwritten a full lap later.
     payloadPoolTrim();
     exec::SpscQueue<Payload> ring(8);
@@ -228,10 +228,11 @@ TEST(PayloadPoolTest, SpscSlotReleasesBufferAfterPop)
     {
         PayloadBuilder builder;
         builder.buffer().assign(512, 7);
-        ASSERT_TRUE(ring.push(builder.seal()));
+        Payload sealed = builder.seal();
+        ASSERT_EQ(ring.pushBatch({&sealed, 1}), 1u);
     }
     Payload out;
-    ASSERT_TRUE(ring.pop(out));
+    ASSERT_EQ(ring.popBatch(&out, 1), 1u);
     EXPECT_EQ(payloadPoolStats().recycles, base.recycles);
 
     out = Payload(); // last live reference — the slot holds none
