@@ -92,7 +92,6 @@ main()
             core::ChannelConfig config;
             config.type = core::ChannelConfig::Type::Unicast;
             config.reliable = true;
-            config.sync = core::ChannelConfig::Sync::Sequential;
             config.buffering = core::ChannelConfig::Buffering::ZeroCopy;
             config.targetDevice = handle.value().deviceAddr();
 

@@ -3,7 +3,8 @@
 # suite. This is the command CI and pre-merge checks run.
 #
 # Usage:
-#   scripts/check.sh               # default build + all tests
+#   scripts/check.sh               # default build (compiler warnings
+#                                  # are errors) + all tests
 #   scripts/check.sh --sanitize    # ASan/UBSan build, obs-labeled tests
 #                                  # first, then the full suite
 #   scripts/check.sh --no-tracing  # HYDRA_TRACING=OFF build: proves
@@ -65,6 +66,11 @@ for arg in "$@"; do
         ;;
     esac
 done
+
+if [ "$#" -eq 0 ]; then
+    # The default lane fails on any compiler warning (-Wall -Wextra).
+    CMAKE_ARGS+=(-DCMAKE_COMPILE_WARNING_AS_ERROR=ON)
+fi
 
 if [ "$PERF_SMOKE" -eq 1 ]; then
     # End-to-end smoke of the declared benchmark (BENCHMARK.json):

@@ -64,21 +64,22 @@ struct Parser
           case '{': return parseObject(depth);
           case '[': return parseArray(depth);
           case '"': return parseString();
-          case 't': return parseLiteral("true", Value{Value::Kind::Bool,
-                                                      true});
-          case 'f': return parseLiteral("false", Value{Value::Kind::Bool,
-                                                       false});
-          case 'n': return parseLiteral("null", Value{});
+          case 't': return parseLiteral("true", Value::Kind::Bool, true);
+          case 'f': return parseLiteral("false", Value::Kind::Bool, false);
+          case 'n': return parseLiteral("null", Value::Kind::Null, false);
           default: return parseNumber();
         }
     }
 
     Result<Value>
-    parseLiteral(const char *word, Value value)
+    parseLiteral(const char *word, Value::Kind kind, bool boolean)
     {
         for (const char *c = word; *c; ++c)
             if (!consume(*c))
                 return fail(std::string("expected '") + word + "'");
+        Value value;
+        value.kind = kind;
+        value.boolean = boolean;
         return value;
     }
 

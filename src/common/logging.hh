@@ -84,9 +84,11 @@ class LogLine
 
 } // namespace hydra
 
+// A one-pass loop, not an if/else: an `else` after the statement
+// cannot bind to it (no -Wdangling-else under an unbraced `if`).
 #define HYDRA_LOG(level)                                                    \
-    if (!::hydra::Log::enabled(level)) {                                    \
-    } else                                                                  \
+    for (bool hydraLogOn = ::hydra::Log::enabled(level); hydraLogOn;        \
+         hydraLogOn = false)                                                \
         ::hydra::detail::LogLine(level)
 
 #define LOG_TRACE HYDRA_LOG(::hydra::LogLevel::Trace)

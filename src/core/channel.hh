@@ -50,18 +50,10 @@ inline constexpr ChannelId kInvalidChannel = 0;
 struct ChannelConfig
 {
     enum class Type : std::uint8_t { Unicast, Multicast };
-    enum class Sync : std::uint8_t { Sequential, Concurrent };
     enum class Buffering : std::uint8_t { ZeroCopy, Copying };
 
     Type type = Type::Unicast;
     bool reliable = true;
-    /**
-     * Delivery synchronization. The event-driven model executes one
-     * handler at a time, so Sequential ordering is what both modes
-     * provide today; Concurrent is accepted for API compatibility
-     * with the paper's configuration surface.
-     */
-    Sync sync = Sync::Sequential;
     Buffering buffering = Buffering::ZeroCopy;
 
     /** Pre-posted descriptors per direction (paper Fig. 6 rings). */
@@ -86,8 +78,6 @@ struct ChannelStats
     std::uint64_t messagesSent = 0;
     std::uint64_t messagesDelivered = 0;
     std::uint64_t messagesDropped = 0;
-    std::uint64_t bytesSent = 0;
-    std::uint64_t busCrossings = 0;
 };
 
 /** A (channel, endpoint index) pair — what an Offcode holds. */

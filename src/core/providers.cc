@@ -102,7 +102,6 @@ class LocalChannel : public Channel
         if (admitted.count == 0)
             return admitted.status;
         stats_.messagesSent += admitted.count;
-        stats_.bytesSent += admitted.bytes;
         localMetrics().sent.add(admitted.count);
         localMetrics().bytes.add(admitted.bytes);
 
@@ -197,7 +196,6 @@ class RingChannel : public Channel
         if (admitted.count == 0)
             return admitted.status;
         stats_.messagesSent += admitted.count;
-        stats_.bytesSent += admitted.bytes;
         ringMetrics().sent.add(admitted.count);
         ringMetrics().bytes.add(admitted.bytes);
 
@@ -344,7 +342,6 @@ class RingChannel : public Channel
             return;
         }
         // One bus transaction moves the whole descriptor chain.
-        ++stats_.busCrossings;
         engineOwner->dma().start(bytes, std::move(finish));
     }
 

@@ -1,7 +1,6 @@
 #include "exec/sim_executor.hh"
 
 #include <algorithm>
-#include <cassert>
 #include <mutex>
 
 #include "chaos/chaos.hh"
@@ -192,65 +191,11 @@ SimExecutor::~SimExecutor()
     KernelCounts::retire(*this);
 }
 
-void
-SimExecutor::push(Time when, TaskId id, Callback fn)
-{
-    const Key key{when, id, slots_.put(std::move(fn))};
-    std::size_t hole = heap_.size();
-    heap_.push_back(key);
-    while (hole > 0) {
-        const std::size_t parent = (hole - 1) / 2;
-        if (!key.before(heap_[parent]))
-            break;
-        heap_[hole] = heap_[parent];
-        hole = parent;
-    }
-    heap_[hole] = key;
-}
-
-SimExecutor::Key
-SimExecutor::popTop()
-{
-    // Floyd's pop: walk the hole from the root to a leaf along the
-    // earlier child (picked by arithmetic, not a branch, since which
-    // child is earlier is a coin flip), then sift the last key up
-    // from there; it rarely climbs far.
-    const Key top = heap_.front();
-    const Key last = heap_.back();
-    heap_.pop_back();
-    const std::size_t n = heap_.size();
-    if (n == 0)
-        return top;
-    std::size_t hole = 0;
-    std::size_t child = 1;
-    while (child + 1 < n) {
-        child += heap_[child + 1].before(heap_[child]);
-        heap_[hole] = heap_[child];
-        hole = child;
-        child = 2 * hole + 1;
-    }
-    if (child < n) {
-        heap_[hole] = heap_[child];
-        hole = child;
-    }
-    while (hole > 0) {
-        const std::size_t parent = (hole - 1) / 2;
-        if (!last.before(heap_[parent]))
-            break;
-        heap_[hole] = heap_[parent];
-        hole = parent;
-    }
-    heap_[hole] = last;
-    return top;
-}
-
 TaskId
 SimExecutor::scheduleAt(Time when, Callback fn)
 {
-    assert(when >= now_);
     simMetrics();
-    const TaskId id = nextId_++;
-    push(when, id, std::move(fn));
+    const TaskId id = kernel_.scheduleAt(when, std::move(fn));
     bump(scheduled_);
     return id;
 }
@@ -258,39 +203,7 @@ SimExecutor::scheduleAt(Time when, Callback fn)
 TaskId
 SimExecutor::schedulePeriodic(Time period, std::function<bool()> fn)
 {
-    assert(period > 0);
-    // The series lives in the periodics_ registry; each firing looks
-    // itself up by id, so cancellation is just an erase and nothing
-    // holds a self-referential closure.
-    const TaskId seriesId = nextId_++;
-    periodics_[seriesId] = Periodic{period, std::move(fn)};
-    push(now_ + period, nextId_++,
-         [this, seriesId]() { firePeriodic(seriesId); });
-    return seriesId;
-}
-
-void
-SimExecutor::firePeriodic(TaskId series_id)
-{
-    auto it = periodics_.find(series_id);
-    if (it == periodics_.end())
-        return; // cancelled
-    // Run the callback out of the map: it may cancel its own series
-    // (erasing the entry) or add series (a rehash moves no element).
-    Periodic &series = it->second;
-    const std::uint64_t erasures = periodicErasures_;
-    std::function<bool()> fn = std::move(series.fn);
-    const bool again = fn();
-    if (periodicErasures_ != erasures &&
-        periodics_.find(series_id) == periodics_.end())
-        return; // cancelled itself
-    if (!again) {
-        periodics_.erase(series_id);
-        return;
-    }
-    series.fn = std::move(fn);
-    push(now_ + series.period, nextId_++,
-         [this, series_id]() { firePeriodic(series_id); });
+    return kernel_.schedulePeriodic(period, std::move(fn));
 }
 
 void
@@ -298,90 +211,41 @@ SimExecutor::cancel(TaskId id)
 {
     simMetrics();
     bump(cancels_);
-    if (periodics_.erase(id)) {
-        ++periodicErasures_;
-        return;
-    }
-    // Ids never handed out cannot be pending; remembering them would
-    // grow cancelled_ forever with nothing to erase them.
-    if (id >= nextId_)
-        return;
-    cancelled_.insert(id);
-    pruneCancelled();
+    kernel_.cancel(id);
 }
 
 void
-SimExecutor::pruneCancelled()
+SimExecutor::dispatch(const Callback &fn)
 {
-    // Cancelling an already-fired id leaves a tombstone no pop will
-    // ever claim. Once the set clearly outgrows the pending queue,
-    // intersect it with the ids actually still scheduled.
-    constexpr std::size_t kSlack = 64;
-    if (cancelled_.size() <= heap_.size() + kSlack)
-        return;
-    std::unordered_set<TaskId> live;
-    live.reserve(heap_.size());
-    for (const Key &key : heap_)
-        live.insert(key.id);
-    std::erase_if(cancelled_,
-                  [&live](TaskId id) { return !live.count(id); });
-}
-
-bool
-SimExecutor::popCancelled()
-{
-    if (cancelled_.empty() || !cancelled_.erase(heap_.front().id))
-        return false;
-    slots_.take(popTop().slot); // drop the captured state now
-    return true;
-}
-
-void
-SimExecutor::dispatchTop()
-{
-    const Key key = popTop();
-    // Move the callback out before running it: the callback may
-    // schedule, which can grow (and move) the slab under it.
-    Callback fn = slots_.take(key.slot);
-    assert(key.when >= now_);
-    now_ = key.when;
     bump(dispatched_);
-    lastDepth_.store(heap_.size(), std::memory_order_relaxed);
+    lastDepth_.store(kernel_.size(), std::memory_order_relaxed);
     fn();
 }
 
 bool
 SimExecutor::step()
 {
-    if (heap_.empty())
+    if (kernel_.empty())
         return false;
     simMetrics();
     RunScope scope(*this);
-    while (!heap_.empty()) {
-        if (popCancelled())
-            continue;
-        dispatchTop();
-        return true;
-    }
-    return false;
+    const Callback fn = kernel_.popDue(EventKernel::kForever);
+    if (!fn)
+        return false;
+    dispatch(fn);
+    return true;
 }
 
 void
 SimExecutor::runUntil(Time until)
 {
-    if (!heap_.empty()) {
+    if (!kernel_.empty()) {
         simMetrics();
         RunScope scope(*this);
-        while (!heap_.empty()) {
-            if (popCancelled())
-                continue;
-            if (heap_.front().when > until)
-                break;
-            dispatchTop();
-        }
+        while (const Callback fn = kernel_.popDue(until))
+            dispatch(fn);
     }
-    if (now_ < until)
-        now_ = until;
+    kernel_.advanceTo(until);
 }
 
 void
@@ -414,23 +278,24 @@ SimExecutor::post(SiteId site, Callback fn)
         // draw delays one task — both via scheduleAt, which preserves
         // FIFO among equal timestamps, so a seeded run replays
         // byte-for-byte.
+        const Time now = kernel_.now();
         Time amount = 0;
-        if (chaosEngine.stallSite(now_, amount)) {
+        if (chaosEngine.stallSite(now, amount)) {
             if (stallUntil_.size() <= site)
                 stallUntil_.resize(site + 1, 0);
-            stallUntil_[site] = std::max(stallUntil_[site], now_ + amount);
+            stallUntil_[site] = std::max(stallUntil_[site], now + amount);
         }
-        Time when = now_;
+        Time when = now;
         if (site < stallUntil_.size())
             when = std::max(when, stallUntil_[site]);
-        if (chaosEngine.slowPost(now_, amount))
+        if (chaosEngine.slowPost(now, amount))
             when += amount;
-        if (when > now_) {
+        if (when > now) {
             scheduleAt(when, std::move(fn));
             return;
         }
     }
-    scheduleAt(now_, std::move(fn));
+    scheduleAt(kernel_.now(), std::move(fn));
 }
 
 void
@@ -439,7 +304,7 @@ SimExecutor::drain()
     // Run everything due at the current instant — post() chains
     // schedule zero-delay events, so a pipeline drains fully — but
     // leave future timers for runUntil().
-    runUntil(now_);
+    runUntil(kernel_.now());
 }
 
 const char *

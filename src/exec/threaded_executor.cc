@@ -71,22 +71,6 @@ ThreadedExecutor::onCoordinator() const
     return std::this_thread::get_id() == coordinator_;
 }
 
-void
-ThreadedExecutor::pushTimer(TimerRecord record)
-{
-    heap_.push_back(std::move(record));
-    std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
-}
-
-ThreadedExecutor::TimerRecord
-ThreadedExecutor::popTimer()
-{
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
-    TimerRecord record = std::move(heap_.back());
-    heap_.pop_back();
-    return record;
-}
-
 TaskId
 ThreadedExecutor::schedule(Time delay, Callback fn)
 {
@@ -96,49 +80,23 @@ ThreadedExecutor::schedule(Time delay, Callback fn)
 TaskId
 ThreadedExecutor::scheduleAt(Time when, Callback fn)
 {
-    const TaskId id = nextId_.fetch_add(1, std::memory_order_relaxed);
-    if (onCoordinator()) {
-        assert(when >= now());
-        pushTimer(TimerRecord{when, id, std::move(fn)});
-    } else {
-        // Worker path: completion callbacks re-enter virtual time
-        // through the coordinator's inbox.
-        std::lock_guard<std::mutex> lock(injectMutex_);
-        injectedTimers_.push_back(TimerRecord{when, id, std::move(fn)});
-        injectedCount_.fetch_add(1, std::memory_order_release);
-    }
+    if (onCoordinator())
+        return kernel_.scheduleAt(when, std::move(fn));
+    // Worker path: completion callbacks re-enter virtual time through
+    // the coordinator's inbox. The id is issued under the inbox lock,
+    // so once any thread knows it, moveInjected() finds its timer.
+    std::lock_guard<std::mutex> lock(injectMutex_);
+    const TaskId id = kernel_.issueId();
+    injected_.push_back(Injected{when, id, std::move(fn)});
+    injectedCount_.fetch_add(1, std::memory_order_release);
     return id;
 }
 
 TaskId
 ThreadedExecutor::schedulePeriodic(Time period, std::function<bool()> fn)
 {
-    assert(period > 0);
     assert(onCoordinator() && "periodic series belong to the main loop");
-    const TaskId seriesId = nextId_.fetch_add(1, std::memory_order_relaxed);
-    periodics_[seriesId] = Periodic{period, std::move(fn)};
-    const TaskId eventId = nextId_.fetch_add(1, std::memory_order_relaxed);
-    pushTimer(TimerRecord{now() + period, eventId,
-                          [this, seriesId]() { firePeriodic(seriesId); }});
-    return seriesId;
-}
-
-void
-ThreadedExecutor::firePeriodic(TaskId series_id)
-{
-    auto it = periodics_.find(series_id);
-    if (it == periodics_.end())
-        return; // cancelled
-    if (!it->second.fn()) {
-        periodics_.erase(series_id);
-        return;
-    }
-    it = periodics_.find(series_id); // fn may cancel its own series
-    if (it == periodics_.end())
-        return;
-    const TaskId eventId = nextId_.fetch_add(1, std::memory_order_relaxed);
-    pushTimer(TimerRecord{now() + it->second.period, eventId,
-                          [this, series_id]() { firePeriodic(series_id); }});
+    return kernel_.schedulePeriodic(period, std::move(fn));
 }
 
 void
@@ -146,15 +104,14 @@ ThreadedExecutor::cancel(TaskId id)
 {
     if (!onCoordinator()) {
         std::lock_guard<std::mutex> lock(injectMutex_);
-        injectedCancels_.push_back(id);
+        injected_.push_back(Injected{0, id, nullptr});
         injectedCount_.fetch_add(1, std::memory_order_release);
         return;
     }
-    if (periodics_.erase(id))
-        return;
-    if (id >= nextId_.load(std::memory_order_relaxed))
-        return;
-    cancelled_.insert(id);
+    // A worker's timer still in the inbox must reach the heap first:
+    // the kernel prunes cancelled ids that no queued key carries.
+    moveInjected();
+    kernel_.cancel(id);
 }
 
 void
@@ -162,23 +119,22 @@ ThreadedExecutor::moveInjected()
 {
     if (injectedCount_.load(std::memory_order_acquire) == 0)
         return;
-    std::vector<TimerRecord> timers;
-    std::vector<TaskId> cancels;
+    std::vector<Injected> entries;
     {
         std::lock_guard<std::mutex> lock(injectMutex_);
-        timers.swap(injectedTimers_);
-        cancels.swap(injectedCancels_);
+        entries.swap(injected_);
         injectedCount_.store(0, std::memory_order_release);
     }
-    for (TimerRecord &record : timers) {
+    // In arrival order, so a cancel follows the timer it names.
+    for (Injected &entry : entries) {
+        if (!entry.fn) {
+            kernel_.cancel(entry.id);
+            continue;
+        }
         // A worker may have raced the clock; never schedule into the
         // past.
-        record.when = std::max(record.when, now());
-        pushTimer(std::move(record));
-    }
-    for (TaskId id : cancels) {
-        if (!periodics_.erase(id))
-            cancelled_.insert(id);
+        kernel_.push(std::max(entry.when, now()), entry.id,
+                     std::move(entry.fn));
     }
 }
 
@@ -277,15 +233,8 @@ ThreadedExecutor::postBatch(SiteId site, std::span<Callback> fns)
     if (!worker) {
         // The main loop is its own site: each callback runs as a
         // zero-delay event, in span order.
-        for (Callback &fn : fns) {
-            if (onCoordinator()) {
-                pushTimer(TimerRecord{
-                    now(), nextId_.fetch_add(1, std::memory_order_relaxed),
-                    std::move(fn)});
-            } else {
-                scheduleAt(now(), std::move(fn));
-            }
-        }
+        for (Callback &fn : fns)
+            scheduleAt(now(), std::move(fn));
         return;
     }
     postsPending_.fetch_add(fns.size(), std::memory_order_acq_rel);
@@ -411,7 +360,7 @@ ThreadedExecutor::workerLoop(Worker &worker)
             // what a wedged firmware core looks like from outside.
             if (chaosEngine.enabled()) {
                 sim::SimTime amount = 0;
-                const Time at = now_.load(std::memory_order_acquire);
+                const Time at = now();
                 if (chaosEngine.stallSite(at, amount) ||
                     chaosEngine.slowPost(at, amount)) {
                     const auto cap =
@@ -488,64 +437,44 @@ ThreadedExecutor::sampleSiteOccupancy()
 bool
 ThreadedExecutor::dispatchDueTimer(Time until)
 {
-    while (!heap_.empty()) {
-        const TimerRecord &top = heap_.front();
-        if (cancelled_.erase(top.id)) {
-            popTimer();
-            continue;
-        }
-        if (top.when > until)
-            return false;
-        TimerRecord record = popTimer();
-        assert(record.when >= now());
-        now_.store(record.when, std::memory_order_release);
-        const std::uint64_t n =
-            dispatched_.fetch_add(1, std::memory_order_relaxed);
-        if ((n & kOccupancySampleMask) == 0)
-            sampleSiteOccupancy();
-        metrics().timerEvents.increment();
-        record.fn();
-        return true;
-    }
-    return false;
+    const Callback fn = kernel_.popDue(until);
+    if (!fn)
+        return false;
+    const std::uint64_t n =
+        dispatched_.fetch_add(1, std::memory_order_relaxed);
+    if ((n & kOccupancySampleMask) == 0)
+        sampleSiteOccupancy();
+    metrics().timerEvents.increment();
+    fn();
+    return true;
 }
 
 void
-ThreadedExecutor::runUntil(Time until)
+ThreadedExecutor::runDue(Time until)
 {
     assert(onCoordinator());
     for (;;) {
         moveInjected();
         if (dispatchDueTimer(until))
             continue;
-        if (postsOutstanding() ||
-            injectedCount_.load(std::memory_order_acquire) != 0) {
-            // Let workers finish; their completions may inject more
-            // timers inside the window.
-            std::this_thread::yield();
-            continue;
-        }
-        break;
+        if (!postsOutstanding() &&
+            injectedCount_.load(std::memory_order_acquire) == 0)
+            break;
+        std::this_thread::yield();
     }
-    if (now() < until)
-        now_.store(until, std::memory_order_release);
+}
+
+void
+ThreadedExecutor::runUntil(Time until)
+{
+    runDue(until);
+    kernel_.advanceTo(until);
 }
 
 void
 ThreadedExecutor::runToCompletion()
 {
-    assert(onCoordinator());
-    for (;;) {
-        moveInjected();
-        if (dispatchDueTimer(static_cast<Time>(-1)))
-            continue;
-        if (postsOutstanding() ||
-            injectedCount_.load(std::memory_order_acquire) != 0) {
-            std::this_thread::yield();
-            continue;
-        }
-        break;
-    }
+    runDue(EventKernel::kForever);
 }
 
 bool
@@ -553,31 +482,21 @@ ThreadedExecutor::step()
 {
     assert(onCoordinator());
     moveInjected();
-    return dispatchDueTimer(static_cast<Time>(-1));
+    return dispatchDueTimer(EventKernel::kForever);
 }
 
 void
 ThreadedExecutor::drain()
 {
-    assert(onCoordinator());
-    for (;;) {
-        moveInjected();
-        if (dispatchDueTimer(now()))
-            continue;
-        if (postsOutstanding() ||
-            injectedCount_.load(std::memory_order_acquire) != 0) {
-            std::this_thread::yield();
-            continue;
-        }
-        break;
-    }
+    // Only events at now() run, so the clock (and the bound) stay put.
+    runDue(now());
 }
 
 std::size_t
 ThreadedExecutor::pendingEvents() const
 {
     // Coordinator-accurate; racy (but safe) from elsewhere.
-    return heap_.size() + injectedCount_.load(std::memory_order_acquire);
+    return kernel_.size() + injectedCount_.load(std::memory_order_acquire);
 }
 
 } // namespace hydra::exec

@@ -4,9 +4,9 @@
  *
  * Thread model (DESIGN.md §10):
  *  - The *coordinator* is the thread that constructed the executor.
- *    It owns virtual time: timer events (schedule/scheduleAt/
- *    schedulePeriodic) dispatch on it in (when, id) order, exactly
- *    like the deterministic simulator.
+ *    It drives the EventKernel that SimExecutor also runs on: timer
+ *    events (schedule/scheduleAt/schedulePeriodic) dispatch on it in
+ *    (when, id) order, and posts to kMainSite are zero-delay events.
  *  - Each addSite() spawns a dedicated *worker* thread. post(site,
  *    fn) hands fn to that worker through a mutex-free SPSC ring —
  *    one ring per (producer, site) pair, so device-to-device
@@ -15,13 +15,15 @@
  *    buffers, so cross-thread handoff moves a pointer, not bytes.
  *  - Workers that schedule timers or cancel tasks inject them into
  *    the coordinator through a mutex-guarded inbox (cold path); the
- *    coordinator drains it between timer dispatches.
+ *    coordinator moves it into the kernel between timer dispatches.
  *
- * Time semantics: virtual time never advances while posted work is
- * outstanding — runUntil()/drain() are synchronization barriers
- * against the workers. Posted work itself executes in wall-clock
- * concurrency and is therefore not deterministically ordered across
- * sites (per (producer, site) pair, posting order is preserved).
+ * Time semantics: runUntil()/drain() are synchronization barriers
+ * against the workers — they return only once every post issued
+ * before them has run. Due timers keep firing meanwhile, so a post
+ * can read a later now() than it was issued at. Posted work runs in
+ * wall-clock concurrency and is therefore not deterministically
+ * ordered across sites (per (producer, site) pair, posting order is
+ * preserved).
  */
 
 #ifndef HYDRA_EXEC_THREADED_EXECUTOR_HH
@@ -34,11 +36,9 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
-#include "exec/executor.hh"
+#include "exec/event_kernel.hh"
 #include "exec/spsc_queue.hh"
 
 namespace hydra::obs {
@@ -78,11 +78,7 @@ class ThreadedExecutor : public Executor
 
     const char *backendName() const override { return "threaded"; }
 
-    Time
-    now() const override
-    {
-        return now_.load(std::memory_order_acquire);
-    }
+    Time now() const override { return kernel_.now(); }
 
     TaskId schedule(Time delay, Callback fn) override;
     TaskId scheduleAt(Time when, Callback fn) override;
@@ -118,26 +114,17 @@ class ThreadedExecutor : public Executor
         return postsExecuted_.load(std::memory_order_relaxed);
     }
 
+    /** EventKernel::cancelledBacklog() (tests, coordinator only). */
+    std::size_t cancelledBacklog() const { return kernel_.cancelledBacklog(); }
+
   private:
-    struct TimerRecord
+    /** A worker's timer, or its cancel of @c id when @c fn is empty,
+     * on its way through the inbox to the kernel. */
+    struct Injected
     {
         Time when;
         TaskId id;
         Callback fn;
-
-        bool
-        operator>(const TimerRecord &other) const
-        {
-            if (when != other.when)
-                return when > other.when;
-            return id > other.id; // FIFO among equal timestamps
-        }
-    };
-
-    struct Periodic
-    {
-        Time period;
-        std::function<bool()> fn;
     };
 
     /**
@@ -202,12 +189,12 @@ class ThreadedExecutor : public Executor
     };
 
     bool onCoordinator() const;
-    void pushTimer(TimerRecord record);
-    TimerRecord popTimer();
-    void firePeriodic(TaskId series_id);
     void moveInjected();
     /** Dispatch the earliest timer if due by @p until; false if not. */
     bool dispatchDueTimer(Time until);
+    /** Dispatch every timer due by @p until, waiting out posted work
+     * and injections (which may add timers inside the window). */
+    void runDue(Time until);
     bool postsOutstanding() const;
 
     Inbox &inboxFor(Worker &worker, SiteId producer);
@@ -227,18 +214,13 @@ class ThreadedExecutor : public Executor
     Config config_;
     std::thread::id coordinator_;
 
-    // --- coordinator-owned virtual time (same shape as sim) ---
-    std::vector<TimerRecord> heap_;
-    std::unordered_set<TaskId> cancelled_;
-    std::unordered_map<TaskId, Periodic> periodics_;
-    std::atomic<Time> now_{0};
-    std::atomic<TaskId> nextId_{1};
+    // --- virtual time, driven by the coordinator; workers issue ids ---
+    EventKernel kernel_{true};
     std::atomic<std::uint64_t> dispatched_{0};
 
     // --- cross-thread injection into the coordinator (cold path) ---
     mutable std::mutex injectMutex_;
-    std::vector<TimerRecord> injectedTimers_;
-    std::vector<TaskId> injectedCancels_;
+    std::vector<Injected> injected_;
     std::atomic<std::size_t> injectedCount_{0};
 
     // --- sites ---

@@ -124,7 +124,6 @@ class RemoteChannel : public core::Channel
         if (admitted.count == 0)
             return admitted.status;
         stats_.messagesSent += admitted.count;
-        stats_.bytesSent += admitted.bytes;
         RemoteMetrics &metrics = remoteMetrics();
         metrics.sent.add(admitted.count);
         metrics.bytes.add(admitted.bytes);
@@ -292,7 +291,6 @@ class RemoteChannel : public core::Channel
         packet.seq = seq;
         packet.payload = builder.seal();
 
-        ++stats_.busCrossings;
         if (endpoints_[from].site)
             endpoints_[from].site->run(kCosts.txDescriptorCycles);
         Status sent = endpoints_[from].site->isHost()

@@ -284,7 +284,7 @@ SloEngine::report() const
             std::snprintf(buf, sizeof(buf), "%s<=%.6g",
                           rule.kind ==
                                   SloRule::Kind::HistogramPercentile
-                              ? ("p" + std::to_string(
+                              ? ('p' + std::to_string(
                                            static_cast<int>(
                                                rule.percentile)))
                                     .c_str()

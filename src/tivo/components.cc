@@ -91,7 +91,6 @@ makeDataChannel(core::Offcode &owner, const std::string &peer_bindname,
     core::ChannelConfig config;
     config.type = type;
     config.reliable = true;
-    config.sync = core::ChannelConfig::Sync::Sequential;
     config.buffering = core::ChannelConfig::Buffering::ZeroCopy;
     config.maxMessageBytes = max_message;
     config.targetDevice = peer.value().deviceAddr();

@@ -348,6 +348,8 @@ TEST_F(ChaosFixture, PoolFailRefusesABatchAtItsFirstMessageOnEveryTransport)
         const obs::Labels transport{{"transport", c.transport}};
         const std::uint64_t sent0 =
             registry.counterValue("channel.messages_sent", transport);
+        const std::uint64_t bytes0 =
+            registry.counterValue("channel.bytes_sent", transport);
         const std::uint64_t delivered0 =
             registry.counterValue("channel.messages_delivered");
         const std::uint64_t fired0 =
@@ -370,7 +372,8 @@ TEST_F(ChaosFixture, PoolFailRefusesABatchAtItsFirstMessageOnEveryTransport)
         EXPECT_EQ(registry.counterValue("channel.messages_delivered"),
                   delivered0);
         EXPECT_EQ(channel->stats().messagesSent, 0u);
-        EXPECT_EQ(channel->stats().bytesSent, 0u);
+        EXPECT_EQ(registry.counterValue("channel.bytes_sent", transport),
+                  bytes0);
         EXPECT_EQ(handled, 0u);
 
         // Disarmed, the same batch goes through whole.

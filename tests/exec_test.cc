@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the executor abstraction: the SPSC handoff ring, the
- * deterministic SimExecutor backend, the ThreadedExecutor's timer /
- * post / cancellation semantics, thread-safe Payload pool
+ * event-kernel semantics both engines share (one typed suite), the
+ * deterministic SimExecutor backend, the ThreadedExecutor's post
+ * semantics, thread-safe Payload pool
  * conservation under concurrent traffic, and cross-thread span
  * stitching. Everything labeled `threaded` in ctest also runs under
  * ThreadSanitizer via `scripts/check.sh --tsan`.
@@ -12,6 +13,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <set>
 #include <span>
 #include <sstream>
@@ -101,6 +103,177 @@ TEST(SpscQueueTest, TwoThreadsTransferEverythingInOrder)
         ASSERT_EQ(received[i], i) << "reordered at " << i;
 }
 
+// --------------------------------------- kernel semantics, both engines
+
+/** The virtual-time contract both engines share through EventKernel;
+ * the threaded engine's coordinator is this test's thread. */
+template <typename Engine>
+class EventKernelTest : public ::testing::Test
+{
+  protected:
+    Engine engine;
+};
+
+using Engines = ::testing::Types<SimExecutor, ThreadedExecutor>;
+TYPED_TEST_SUITE(EventKernelTest, Engines);
+
+TYPED_TEST(EventKernelTest, FiresInTimeThenSchedulingOrder)
+{
+    auto &engine = this->engine;
+    std::vector<int> order;
+    engine.schedule(sim::microseconds(3), [&]() { order.push_back(100); });
+    for (int i = 0; i < 16; ++i)
+        engine.schedule(sim::microseconds(2),
+                        [&order, i]() { order.push_back(i); });
+    engine.scheduleAt(sim::microseconds(1), [&]() { order.push_back(-1); });
+    engine.runToCompletion();
+
+    std::vector<int> expected{-1};
+    for (int i = 0; i < 16; ++i)
+        expected.push_back(i); // FIFO among equal timestamps
+    expected.push_back(100);
+    EXPECT_EQ(order, expected);
+    EXPECT_EQ(engine.now(), sim::microseconds(3));
+    EXPECT_EQ(engine.eventsDispatched(), 18u);
+}
+
+TYPED_TEST(EventKernelTest, CancelledPendingEventNeverFires)
+{
+    auto &engine = this->engine;
+    int count = 0;
+    engine.schedule(sim::microseconds(1), [&]() { ++count; });
+    const TaskId doomed =
+        engine.schedule(sim::microseconds(1), [&]() { count += 100; });
+    engine.schedule(sim::microseconds(1), [&]() { ++count; });
+    engine.cancel(doomed);
+    engine.runToCompletion();
+    EXPECT_EQ(count, 2);
+    EXPECT_EQ(engine.eventsDispatched(), 2u);
+    EXPECT_EQ(engine.pendingEvents(), 0u);
+    EXPECT_EQ(engine.cancelledBacklog(), 0u);
+}
+
+TYPED_TEST(EventKernelTest, PeriodicStopsWhenItReturnsFalse)
+{
+    auto &engine = this->engine;
+    bool fired = false;
+    const TaskId doomed =
+        engine.schedule(sim::microseconds(5), [&]() { fired = true; });
+    engine.cancel(doomed);
+    int ticks = 0;
+    engine.schedulePeriodic(sim::microseconds(2),
+                            [&]() { return ++ticks < 3; });
+    engine.runUntil(sim::microseconds(20));
+    EXPECT_FALSE(fired);
+    EXPECT_EQ(ticks, 3);
+    EXPECT_EQ(engine.pendingEvents(), 0u);
+}
+
+TYPED_TEST(EventKernelTest, PeriodicStopsWhenCancelled)
+{
+    auto &engine = this->engine;
+    engine.runUntil(sim::microseconds(20));
+    int more = 0;
+    const TaskId forever =
+        engine.schedulePeriodic(sim::microseconds(2), [&]() {
+            ++more;
+            return true;
+        });
+    engine.runUntil(sim::microseconds(26));
+    engine.cancel(forever);
+    engine.runUntil(sim::microseconds(40));
+    EXPECT_EQ(more, 3); // fired at 22, 24 and 26 us
+    EXPECT_EQ(engine.pendingEvents(), 0u);
+}
+
+TYPED_TEST(EventKernelTest, PeriodicCancelsItselfFromItsCallback)
+{
+    auto &engine = this->engine;
+    int ticks = 0;
+    auto state = std::make_shared<int>(0);
+    TaskId id = 0;
+    id = engine.schedulePeriodic(10, [&, state]() {
+        ++ticks;
+        if (ticks == 3)
+            engine.cancel(id); // erases the series while it runs
+        *state += ticks;       // captured state still alive
+        return true;
+    });
+    engine.runUntil(1000);
+    EXPECT_EQ(ticks, 3);
+    EXPECT_EQ(*state, 6);
+    EXPECT_EQ(engine.pendingEvents(), 0u);
+}
+
+TYPED_TEST(EventKernelTest, CancelBacklogStaysBounded)
+{
+    // Cancelling ids of events that already fired leaves tombstones no
+    // pop claims; the kernel prunes them against the pending queue.
+    auto &engine = this->engine;
+    for (int i = 0; i < 1000; ++i) {
+        const TaskId id = engine.schedule(1, []() {});
+        engine.runToCompletion();
+        engine.cancel(id); // no-op: the event is long gone
+    }
+    EXPECT_LE(engine.cancelledBacklog(), 65u); // not 1000
+    EXPECT_EQ(engine.eventsDispatched(), 1000u);
+}
+
+TYPED_TEST(EventKernelTest, CancelFromASiteReachesTheKernel)
+{
+    // On the threaded engine the posted closure runs on a worker, so
+    // its cancels and its schedule travel through the inbox.
+    auto &engine = this->engine;
+    const SiteId site = engine.addSite("canceller");
+    std::atomic<int> fired{0};
+    const TaskId doomed =
+        engine.schedule(sim::microseconds(10), [&]() { fired += 100; });
+    engine.post(site, [&]() {
+        engine.cancel(doomed);
+        const TaskId own =
+            engine.schedule(sim::microseconds(5), [&]() { fired += 10; });
+        engine.cancel(own); // issued here, cancelled before it queues
+        engine.schedule(sim::microseconds(5), [&]() { fired += 1; });
+    });
+    engine.drain(); // the site's work runs before the clock moves
+    engine.runUntil(sim::microseconds(50));
+    EXPECT_EQ(fired.load(), 1);
+    EXPECT_EQ(engine.pendingEvents(), 0u);
+    EXPECT_EQ(engine.cancelledBacklog(), 0u);
+}
+
+TYPED_TEST(EventKernelTest, CancelOfASiteTimerSurvivesPruning)
+{
+    // A site schedules a timer and hands its id to a main-loop timer,
+    // which cancels it and then enough fired ids to prune the cancel
+    // set. On the threaded engine the site's timer may still sit in
+    // the inbox; the prune must not forget its cancel.
+    auto &engine = this->engine;
+    const SiteId site = engine.addSite("scheduler");
+    std::vector<TaskId> gone;
+    for (int i = 0; i < 100; ++i)
+        gone.push_back(engine.schedule(1, []() {}));
+    engine.runToCompletion();
+
+    std::atomic<TaskId> siteTimer{0};
+    std::atomic<bool> leaked{false};
+    engine.post(site, [&]() {
+        siteTimer.store(engine.schedule(sim::microseconds(5),
+                                        [&]() { leaked = true; }));
+    });
+    engine.schedule(sim::microseconds(1), [&]() {
+        TaskId id = 0;
+        while ((id = siteTimer.load()) == 0)
+            std::this_thread::yield();
+        engine.cancel(id);
+        for (TaskId stale : gone)
+            engine.cancel(stale);
+    });
+    engine.runUntil(sim::microseconds(50));
+    EXPECT_FALSE(leaked.load());
+    EXPECT_LE(engine.cancelledBacklog(), 65u);
+}
+
 // -------------------------------------------------------- SimExecutor
 
 TEST(SimExecutorTest, MirrorsSimulatorSemantics)
@@ -168,47 +341,6 @@ TEST(ThreadedExecutorTest, TimersFireInOrderOnTheCoordinator)
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
     EXPECT_EQ(engine.now(), sim::microseconds(10));
     EXPECT_EQ(engine.eventsDispatched(), 3u);
-}
-
-TEST(ThreadedExecutorTest, EqualTimestampsKeepFifoOrder)
-{
-    ThreadedExecutor engine;
-    std::vector<int> order;
-    for (int i = 0; i < 16; ++i)
-        engine.schedule(sim::microseconds(1),
-                        [&order, i]() { order.push_back(i); });
-    engine.runToCompletion();
-    ASSERT_EQ(order.size(), 16u);
-    for (int i = 0; i < 16; ++i)
-        EXPECT_EQ(order[i], i);
-}
-
-TEST(ThreadedExecutorTest, CancelAndPeriodicMatchSimSemantics)
-{
-    ThreadedExecutor engine;
-    bool fired = false;
-    const TaskId doomed =
-        engine.schedule(sim::microseconds(5), [&]() { fired = true; });
-    engine.cancel(doomed);
-
-    int ticks = 0;
-    const TaskId series = engine.schedulePeriodic(
-        sim::microseconds(2), [&]() { return ++ticks < 3; });
-    engine.runUntil(sim::microseconds(20));
-    EXPECT_FALSE(fired);
-    EXPECT_EQ(ticks, 3);
-
-    int more = 0;
-    const TaskId forever = engine.schedulePeriodic(
-        sim::microseconds(2), [&]() {
-            ++more;
-            return true;
-        });
-    engine.runUntil(sim::microseconds(26));
-    engine.cancel(forever);
-    engine.runUntil(sim::microseconds(40));
-    EXPECT_EQ(more, 3);
-    (void)series;
 }
 
 TEST(ThreadedExecutorTest, PostRunsOnTheSiteWorkerThread)
@@ -445,7 +577,7 @@ TEST(ThreadedSpanTest, ConcurrentSpanIdsNeverCollide)
             ids[t].reserve(kSpans);
             for (int i = 0; i < kSpans; ++i) {
                 obs::Span span;
-                span.open("test", "t" + std::to_string(t), "s", "test",
+                span.open("test", 't' + std::to_string(t), "s", "test",
                           0);
                 ids[t].push_back(span.context().spanId);
                 span.end(1);

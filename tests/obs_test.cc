@@ -239,7 +239,7 @@ TEST_F(ObsTest, RingBufferOverwritesOldest)
     tracer.enable(8);
     const obs::TraceLane lane = tracer.lane("p", "t");
     for (int i = 0; i < 20; ++i)
-        tracer.instant(lane, "e" + std::to_string(i), "test",
+        tracer.instant(lane, 'e' + std::to_string(i), "test",
                        static_cast<sim::SimTime>(i) * 100);
 
     EXPECT_EQ(tracer.eventsRecorded(), 8u);
